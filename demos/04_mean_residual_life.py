@@ -21,7 +21,7 @@ print("Larger r means more failures before the window, so the inspected")
 print("component is more likely to be long dead and phi drops.\n")
 
 print("Sliding unit-width windows (n = 10, r = 4):")
-print("  window        phi         psi         neglected tail")
+print("  window        phi         psi         error bound")
 for t1 in [0.25, 0.5, 1.0, 2.0, 3.0]:
     w = os_.Window(t1, t1 + 1.0)
     s = os_.mrl_summary(cfg, model, w)

@@ -69,14 +69,19 @@ class OutputFormat:
 
 @dataclass
 class Report:
+    """JSON ``records``; the CSV shows the ``header`` columns of each record."""
+
     meta: dict
     header: list[str]
-    rows: list[list]
     records: list[dict]
 
 
 def _dec(value: float) -> str:
     return f"{float(value):.6f}"
+
+
+def _cell(value) -> str:
+    return _dec(value) if isinstance(value, float) else str(value)
 
 
 def parse_grid(text: str) -> list[float]:
@@ -110,19 +115,8 @@ def _meta(command: str, args, seed=None, **inputs) -> dict:
     return meta
 
 
-def _grid_report(meta, grid, extra_col=None) -> Report:
-    if extra_col is None:
-        header = ["x", "value"]
-        rows = [[_dec(x), _dec(v)] for x, v in zip(grid.points, grid.values)]
-        records = [{"x": x, "value": _dec(v)} for x, v in zip(grid.points, grid.values)]
-    else:
-        name, value = extra_col
-        header = [name, "x", "value"]
-        rows = [[_dec(value), _dec(x), _dec(v)] for x, v in zip(grid.points, grid.values)]
-        records = [
-            {name: value, "x": x, "value": _dec(v)} for x, v in zip(grid.points, grid.values)
-        ]
-    return Report(meta, header, rows, records)
+def _grid_records(grid, **extra) -> list[dict]:
+    return [{**extra, "x": x, "value": _dec(v)} for x, v in zip(grid.points, grid.values)]
 
 
 def _cmd_joint(args) -> Report:
@@ -134,16 +128,14 @@ def _cmd_joint(args) -> Report:
         t=args.t, t_grid=args.t_grid, x_grid=args.x_grid,
     )
     if args.t_grid:
-        report = Report(meta, ["t", "x", "value"], [], [])
+        records = []
         for t in parse_grid(args.t_grid):
-            grid = eval_grid(cfg, model, xs, "joint", t=t)
-            part = _grid_report(meta, grid, extra_col=("t", t))
-            report.rows += part.rows
-            report.records += part.records
-        return report
+            records += _grid_records(eval_grid(cfg, model, xs, "joint", t=t), t=t)
+        return Report(meta, ["t", "x", "value"], records)
     if args.t is None:
         raise DomainError("joint-cdf needs --t or --t-grid")
-    return _grid_report(meta, eval_grid(cfg, model, xs, "joint", t=args.t))
+    grid = eval_grid(cfg, model, xs, "joint", t=args.t)
+    return Report(meta, ["x", "value"], _grid_records(grid))
 
 
 def _cmd_cond(args) -> Report:
@@ -166,7 +158,7 @@ def _cmd_cond(args) -> Report:
         grid = eval_grid(cfg, model, xs, "between", window=Window(args.t1, args.t2))
     else:
         grid = eval_grid(cfg, model, xs, "given_eq", t=args.at)
-    return _grid_report(meta, grid)
+    return Report(meta, ["x", "value"], _grid_records(grid))
 
 
 def _cmd_inspections(args) -> Report:
@@ -179,7 +171,6 @@ def _cmd_inspections(args) -> Report:
         return Report(
             meta,
             ["expected_fraction", "expected_decimal"],
-            [[fraction, _dec(float(mean))]],
             [{
                 "expected_numerator": mean.numerator,
                 "expected_denominator": mean.denominator,
@@ -187,9 +178,8 @@ def _cmd_inspections(args) -> Report:
                 "expected_decimal": _dec(float(mean)),
             }],
         )
-    rows = [[str(m), str(num), str(den), dec] for m, num, den, dec in pmf.rows()]
     return Report(meta, ["m", "prob_numerator", "prob_denominator", "prob_decimal"],
-                  rows, pmf.to_json_records())
+                  pmf.to_json_records())
 
 
 def _cmd_mrl(args) -> Report:
@@ -197,14 +187,12 @@ def _cmd_mrl(args) -> Report:
     model = parse_model(args.model)
     summary = mrl_summary(cfg, model, Window(args.t1, args.t2))
     meta = _meta("mrl", args, n=args.n, r=args.r, model=args.model, t1=args.t1, t2=args.t2)
-    row = [_dec(summary.t1), _dec(summary.t2), _dec(summary.phi), _dec(summary.psi),
-           f"{summary.truncation_bound:.6e}"]
     record = {
         "t1": summary.t1, "t2": summary.t2,
         "phi": _dec(summary.phi), "psi": _dec(summary.psi),
         "truncation_bound": f"{summary.truncation_bound:.6e}",
     }
-    return Report(meta, ["t1", "t2", "phi", "psi", "truncation_bound"], [row], [record])
+    return Report(meta, ["t1", "t2", "phi", "psi", "truncation_bound"], [record])
 
 
 def _cmd_simulate(args) -> Report:
@@ -222,12 +210,9 @@ def _cmd_simulate(args) -> Report:
         if args.k is None:
             raise DomainError("simulate --target inspections needs --k")
         estimates = mc_inspection_pmf(cfg, model, args.k, args.reps, seed)
-        header = ["m", "estimate", "std_error", "replications"]
-        rows = [[str(m), _dec(e.estimate), f"{e.std_error:.6e}", str(e.replications)]
-                for m, e in estimates.items()]
         records = [{"m": m, "estimate": _dec(e.estimate), "std_error": f"{e.std_error:.6e}",
                     "replications": e.replications} for m, e in estimates.items()]
-        return Report(meta, header, rows, records)
+        return Report(meta, ["m", "estimate", "std_error", "replications"], records)
     if args.x is None:
         raise DomainError("simulate --target event needs --x")
     windowed = args.t1 is not None and args.t2 is not None
@@ -245,15 +230,13 @@ def _cmd_simulate(args) -> Report:
     else:
         raise DomainError("simulate --target event needs --t, or both --t1 and --t2")
     header = ["estimate", "std_error", "replications", "conditioned_fraction"]
-    row = [_dec(estimate.estimate), f"{estimate.std_error:.6e}",
-           str(estimate.replications), _dec(estimate.conditioned_fraction)]
     record = {
         "estimate": _dec(estimate.estimate),
         "std_error": f"{estimate.std_error:.6e}",
         "replications": estimate.replications,
         "conditioned_fraction": _dec(estimate.conditioned_fraction),
     }
-    return Report(meta, header, [row], [record])
+    return Report(meta, header, [record])
 
 
 def _render(report: Report, fmt: OutputFormat) -> str:
@@ -263,7 +246,7 @@ def _render(report: Report, fmt: OutputFormat) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(report.header)
-    writer.writerows(report.rows)
+    writer.writerows([_cell(rec[h]) for h in report.header] for rec in report.records)
     return buffer.getvalue()
 
 

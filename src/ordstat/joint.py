@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from math import comb, factorial, lgamma
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DomainError, NullConditioningError
 from .lifetimes import LifetimeModel
 from .special import binom_tail
@@ -57,6 +59,14 @@ def _check_time(value, name: str = "time") -> float:
     return v
 
 
+def _check_times(values, name: str = "x") -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    bad = np.isnan(arr) | (arr < 0.0)
+    if np.any(bad):
+        raise DomainError(f"{name} must be a nonnegative time, got {float(arr[bad].flat[0])!r}")
+    return arr
+
+
 def _check_event(prob: float, description: str) -> None:
     if prob < NULL_EVENT_FLOOR:
         raise NullConditioningError(
@@ -64,8 +74,10 @@ def _check_event(prob: float, description: str) -> None:
         )
 
 
-def _clip01(value: float) -> float:
-    return min(1.0, max(0.0, value))
+def _clip01(value):
+    """value clipped to [0, 1]: a float for a scalar, else an array."""
+    out = np.clip(value, 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -99,8 +111,30 @@ def window_prob(cfg: SystemConfig, model: LifetimeModel, window: Window) -> floa
     return max(0.0, hi - lo)
 
 
-def joint_cdf_single(cfg: SystemConfig, model: LifetimeModel, x, t) -> float:
-    """Joint CDF P{X_1 <= x, X_{r:n} <= t}.
+def window_slopes(cfg: SystemConfig, model: LifetimeModel, window: Window):
+    """Slopes (low, mid, high) of P{X_1 <= x | t1 <= X_{r:n} <= t2} in F(x).
+
+    Given the window event, the law of X_1 is piecewise linear in F(x): its
+    slope is the probability of the window given X_1 = x, divided by the
+    window probability, and that is constant on each of x < t1,
+    t1 <= x <= t2 and x > t2.  Given X_1 below the window, r - 1 of the
+    other n - 1 must fail by t2 but not by t1; inside it, r - 1 by t2 and
+    fewer than r by t1; above it, r by t2 but not by t1.
+    """
+    n, r = cfg.n, cfg.r
+    prob = window_prob(cfg, model, window)
+    _check_event(prob, f"{{{window.t1} <= X_({r}:{n}) <= {window.t2}}}")
+    p1 = model.cdf(window.t1)
+    p2 = model.cdf(window.t2)
+    up1 = binom_tail(n - 1, r - 1, p1)
+    up2 = binom_tail(n - 1, r - 1, p2)
+    mid1 = binom_tail(n - 1, r, p1)
+    mid2 = binom_tail(n - 1, r, p2)
+    return (up2 - up1) / prob, (up2 - mid1) / prob, (mid2 - mid1) / prob
+
+
+def joint_cdf_single(cfg: SystemConfig, model: LifetimeModel, x, t):
+    """Joint CDF P{X_1 <= x, X_{r:n} <= t}, elementwise over an array x.
 
     For x <= t this is F(x) times the probability that at least r - 1 of the
     remaining n - 1 observations are <= t.  For x > t the same expression
@@ -112,19 +146,18 @@ def joint_cdf_single(cfg: SystemConfig, model: LifetimeModel, x, t) -> float:
     is subtracted.  The two branches agree at x = t, and the result is a CDF
     in each argument separately.
     """
-    x = _check_time(x, "x")
+    x = _check_times(x, "x")
     t = _check_time(t, "t")
     n, r = cfg.n, cfg.r
     fx = model.cdf(x)
     ft = model.cdf(t)
     value = fx * binom_tail(n - 1, r - 1, ft)
-    if x > t:
-        value -= comb(n - 1, r - 1) * (fx - ft) * ft ** (r - 1) * (1.0 - ft) ** (n - r)
-    return _clip01(value)
+    above = float(comb(n - 1, r - 1)) * (fx - ft) * ft ** (r - 1) * (1.0 - ft) ** (n - r)
+    return _clip01(np.where(x > t, value - above, value))
 
 
-def cond_cdf_given_leq(cfg: SystemConfig, model: LifetimeModel, x, t) -> float:
-    """Conditional CDF P{X_1 <= x | X_{r:n} <= t}.
+def cond_cdf_given_leq(cfg: SystemConfig, model: LifetimeModel, x, t):
+    """Conditional CDF P{X_1 <= x | X_{r:n} <= t}, elementwise over an array x.
 
     The threshold t must give the conditioning event positive probability;
     for r = n this reduces to F(min(x, t)) / F(t), and for r = 1 to the law
@@ -135,55 +168,50 @@ def cond_cdf_given_leq(cfg: SystemConfig, model: LifetimeModel, x, t) -> float:
     return _clip01(joint_cdf_single(cfg, model, x, t) / denom)
 
 
-def cond_cdf_between(cfg: SystemConfig, model: LifetimeModel, x, window: Window) -> float:
-    """Conditional CDF P{X_1 <= x | t1 <= X_{r:n} <= t2}.
+def cond_cdf_between(cfg: SystemConfig, model: LifetimeModel, x, window: Window):
+    """Conditional CDF P{X_1 <= x | t1 <= X_{r:n} <= t2}, elementwise over an array x.
 
-    Evaluated branchwise (x below, inside, or above the window) through
-    binomial-tail terms.  The branches meet continuously at x = t1 and
-    x = t2, and for every x the value times the window probability equals
-    joint_cdf_single(x, t2) - joint_cdf_single(x, t1).
+    With the slopes of window_slopes and p_i = F(t_i), the law is
+
+        low F(min(x, t1)) + mid (F(clip(x, t1, t2)) - p1) + high (F(max(x, t2)) - p2),
+
+    continuous at x = t1 and x = t2; for every x the value times the window
+    probability equals joint_cdf_single(x, t2) - joint_cdf_single(x, t1).
     """
-    x = _check_time(x, "x")
-    n, r = cfg.n, cfg.r
+    x = _check_times(x, "x")
+    low, mid, high = window_slopes(cfg, model, window)
     p1 = model.cdf(window.t1)
     p2 = model.cdf(window.t2)
-    denom = binom_tail(n, r, p2) - binom_tail(n, r, p1)
-    _check_event(denom, f"{{{window.t1} <= X_({r}:{n}) <= {window.t2}}}")
+    # F is nondecreasing, so clipping F(x) to [p1, p2] is F of the clipped x
     fx = model.cdf(x)
-    up1 = binom_tail(n - 1, r - 1, p1)
-    up2 = binom_tail(n - 1, r - 1, p2)
-    if x < window.t1:
-        num = fx * (up2 - up1)
-    elif x <= window.t2:
-        num = fx * up2 - (fx - p1) * binom_tail(n - 1, r, p1) - p1 * up1
-    else:
-        num = (
-            (fx - p2) * binom_tail(n - 1, r, p2)
-            + p2 * up2
-            - (fx - p1) * binom_tail(n - 1, r, p1)
-            - p1 * up1
-        )
-    return _clip01(num / denom)
+    value = (
+        low * np.minimum(fx, p1)
+        + mid * (np.clip(fx, p1, p2) - p1)
+        + high * (np.maximum(fx, p2) - p2)
+    )
+    return _clip01(value)
 
 
-def cond_cdf_given_eq(cfg: SystemConfig, model: LifetimeModel, x, t) -> float:
+def cond_cdf_given_eq(cfg: SystemConfig, model: LifetimeModel, x, t):
     """Conditional CDF P{X_1 <= x | X_{r:n} = t}, the vanishing-window limit.
 
         (r-1)/n * F(x)/F(t)                          x < t
         (n-r)(F(x) - F(t)) / (n (1 - F(t))) + r/n    x >= t
 
     Right-continuous, with a jump of exactly 1/n at x = t; requires
-    0 < F(t) < 1 so that both branches are defined.
+    0 < F(t) < 1 so that both branches are defined.  Elementwise over an
+    array x.
     """
-    x = _check_time(x, "x")
+    x = _check_times(x, "x")
     t = _check_time(t, "t")
     ft = model.cdf(t)
     if not 0.0 < ft < 1.0:
         raise DomainError(f"need 0 < F(t) < 1 at the conditioning point, got F({t}) = {ft}")
     n, r = cfg.n, cfg.r
-    if x < t:
-        return _clip01((r - 1) / n * model.cdf(x) / ft)
-    return _clip01((n - r) * (model.cdf(x) - ft) / (n * (1.0 - ft)) + r / n)
+    fx = model.cdf(x)
+    below = (r - 1) / n * fx / ft
+    above = (n - r) * (fx - ft) / (n * (1.0 - ft)) + r / n
+    return _clip01(np.where(x < t, below, above))
 
 
 def _checked_observations(cfg: SystemConfig, xs: Sequence, t) -> tuple[list[float], float]:
@@ -290,6 +318,7 @@ def eval_grid(
     ``law`` is one of ``"joint"``, ``"given_leq"``, ``"given_eq"`` (all of
     which need ``t``) or ``"between"`` (which needs ``window``).
     """
+    points = np.asarray(xs, dtype=float)
     if law in ("joint", "given_leq", "given_eq"):
         if t is None:
             raise DomainError(f"law {law!r} needs a threshold t")
@@ -299,11 +328,11 @@ def eval_grid(
             "given_eq": cond_cdf_given_eq,
         }
         fn = fns[law]
-        values = tuple(fn(cfg, model, x, t) for x in xs)
+        values = fn(cfg, model, points, t)
     elif law == "between":
         if window is None:
             raise DomainError("law 'between' needs a window")
-        values = tuple(cond_cdf_between(cfg, model, x, window) for x in xs)
+        values = cond_cdf_between(cfg, model, points, window)
     else:
         raise DomainError(f"unknown law {law!r}; expected one of {LAWS}")
-    return EvalGrid(tuple(float(x) for x in xs), values)
+    return EvalGrid(tuple(points.tolist()), tuple(values.tolist()))

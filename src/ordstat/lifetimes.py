@@ -1,11 +1,12 @@
 """Lifetime models supported on [0, inf).
 
 The parametric models (exponential, Weibull, uniform) are absolutely
-continuous with closed-form quantiles.  The empirical model wraps a fixed
-sample as a right-continuous step CDF; it is valid wherever only the CDF or
-sampling is needed and refuses density evaluations.
+continuous with closed-form quantiles and inverse survival functions.  The
+empirical model wraps a fixed sample as a right-continuous step CDF; it is
+valid wherever only the CDF or sampling is needed and refuses density
+evaluations.
 
-``cdf``, ``pdf`` and ``quantile`` accept floats or numpy arrays and
+``cdf``, ``pdf``, ``quantile`` and ``isf`` accept floats or numpy arrays and
 broadcast elementwise; scalar input yields a plain float.
 """
 
@@ -63,14 +64,14 @@ class LifetimeModel(ABC):
             u[zero] = np.nextafter(0.0, 1.0)
         return self.quantile(u)
 
-    def support_upper(self, tail_mass: float) -> float:
-        """A finite cutoff U with 1 - F(U) <= tail_mass."""
-        return float(self.quantile(1.0 - tail_mass))
+    def support_upper(self, mass: float) -> float:
+        """A finite cutoff U with 1 - F(U) <= mass."""
+        return float(self.quantile(1.0 - mass))
 
     def _check_u(self, u):
         arr, scalar = _prepare(u)
         if not np.all((arr > 0.0) & (arr < 1.0)):
-            raise DomainError("quantile argument must lie strictly inside (0, 1)")
+            raise DomainError("probability argument must lie strictly inside (0, 1)")
         return arr, scalar
 
 
@@ -96,6 +97,11 @@ class Exponential(LifetimeModel):
     def quantile(self, u):
         arr, scalar = self._check_u(u)
         return _finish(-np.log1p(-arr) / self.rate, scalar)
+
+    def isf(self, s):
+        """The x with 1 - F(x) = s, for s strictly inside (0, 1)."""
+        arr, scalar = self._check_u(s)
+        return _finish(-np.log(arr) / self.rate, scalar)
 
     def __repr__(self):
         return f"Exponential(rate={self.rate!r})"
@@ -132,6 +138,11 @@ class Weibull(LifetimeModel):
         arr, scalar = self._check_u(u)
         return _finish(self.scale * (-np.log1p(-arr)) ** (1.0 / self.shape), scalar)
 
+    def isf(self, s):
+        """The x with 1 - F(x) = s, for s strictly inside (0, 1)."""
+        arr, scalar = self._check_u(s)
+        return _finish(self.scale * (-np.log(arr)) ** (1.0 / self.shape), scalar)
+
     def __repr__(self):
         return f"Weibull(shape={self.shape!r}, scale={self.scale!r})"
 
@@ -160,6 +171,11 @@ class Uniform(LifetimeModel):
     def quantile(self, u):
         arr, scalar = self._check_u(u)
         return _finish(self.lo + arr * (self.hi - self.lo), scalar)
+
+    def isf(self, s):
+        """The x with 1 - F(x) = s, for s strictly inside (0, 1)."""
+        arr, scalar = self._check_u(s)
+        return _finish(self.hi - arr * (self.hi - self.lo), scalar)
 
     def __repr__(self):
         return f"Uniform(lo={self.lo!r}, hi={self.hi!r})"

@@ -1,10 +1,10 @@
 """Mean residual life and mean past of a component given that the system
 failed inside an inspection window.
 
-Given that the r-th component failure landed in (t1, t2), the conditional
-density of a single component lifetime is piecewise proportional to the
-component density f, with window-dependent coefficients on the three
-regions x < t1, t1 <= x <= t2 and x > t2.  The signed mean residual life is
+Given that the r-th component failure landed in [t1, t2], the law of a
+single component lifetime is piecewise linear in F(x), with the window
+slopes low, mid and high of ``joint.window_slopes`` on the regions x < t1,
+t1 <= x <= t2 and x > t2.  The signed mean residual life is
 
     phi(t1, t2) = E{X_1 - t2 | t1 <= X_{r:n} <= t2}
 
@@ -12,23 +12,29 @@ and the mean past is its mirror, psi = t2 - E{X_1 | ...}.  phi is reported
 signed: the inspected component may well have failed before t2, in which
 case phi is negative.
 
-Partial expectations use adaptive quadrature on the three regions, which
-are smooth between the window kinks.  The upper region is truncated at a
-cutoff U with 1 - F(U) below QuadratureSpec.tail_mass; the neglected tail
-contribution beyond U is estimated and reported alongside the values.
+Substituting s = 1 - F(x) turns each region's partial expectation into an
+integral of the inverse survival function isf over a finite interval:
+
+    E{X_1 | ...} = low  * int_{S(t1)}^{1}     isf(s) ds
+                 + mid  * int_{S(t2)}^{S(t1)} isf(s) ds
+                 + high * int_{0}^{S(t2)}     isf(s) ds,     S = 1 - F.
+
+The three intervals cover the whole support, so nothing is cut off, and a
+density jump (as at the lower end of a uniform law) does not reach the
+integrand.  Each integral is taken by adaptive quadrature; the sum of their
+error estimates, weighted by the slopes, is reported with the values.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
-from .errors import DensityUnsupportedError, DomainError, NullConditioningError, QuadratureError
+from .errors import DensityUnsupportedError, DomainError, QuadratureError
+from .joint import window_slopes
 from .lifetimes import LifetimeModel
-from .special import binom_tail
 from .system import SystemConfig, Window
 
 __all__ = [
@@ -43,20 +49,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and cutoff policy for the windowed partial expectations."""
+    """Tolerances of the adaptive quadrature behind the windowed expectations."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_subdivisions: int = 65536
-    tail_mass: float = 1e-12
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise DomainError("quadrature tolerances must be positive")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")
-        if not 0.0 < self.tail_mass < 1.0:
-            raise DomainError("tail_mass must lie strictly inside (0, 1)")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -64,34 +67,18 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 @dataclass(frozen=True)
 class MrlSummary:
-    """Window, signed mean residual life, mean past, and neglected tail estimate."""
+    """Window, signed mean residual life, mean past, and the error bound.
+
+    ``truncation_bound`` is the sum of quad's error estimates for the three
+    region integrals, weighted by the window slopes: a bound on the error
+    of phi and of psi as far as those estimates hold.
+    """
 
     t1: float
     t2: float
     phi: float
     psi: float
     truncation_bound: float
-
-
-def _branch_coefficients(cfg: SystemConfig, model: LifetimeModel, window: Window):
-    """Multipliers of f(x) on the three regions, given the window event."""
-    n, r = cfg.n, cfg.r
-    p1 = model.cdf(window.t1)
-    p2 = model.cdf(window.t2)
-    denom = binom_tail(n, r, p2) - binom_tail(n, r, p1)
-    if denom < 1e-300:
-        raise NullConditioningError(
-            f"conditioning event {{{window.t1} <= X_({r}:{n}) <= {window.t2}}} "
-            f"has probability {denom!r}, treated as null"
-        )
-    up1 = binom_tail(n - 1, r - 1, p1)
-    up2 = binom_tail(n - 1, r - 1, p2)
-    mid1 = binom_tail(n - 1, r, p1)
-    mid2 = binom_tail(n - 1, r, p2)
-    low = (up2 - up1) / denom
-    mid = (up2 - mid1) / denom
-    high = (mid2 - mid1) / denom
-    return low, mid, high
 
 
 def cond_pdf_between(cfg: SystemConfig, model: LifetimeModel, x, window: Window) -> float:
@@ -105,7 +92,7 @@ def cond_pdf_between(cfg: SystemConfig, model: LifetimeModel, x, window: Window)
     x = float(x)
     if np.isnan(x) or x < 0.0:
         raise DomainError(f"x must be a nonnegative time, got {x!r}")
-    low, mid, high = _branch_coefficients(cfg, model, window)
+    low, mid, high = window_slopes(cfg, model, window)
     if x < window.t1:
         return low * model.pdf(x)
     if x <= window.t2:
@@ -113,47 +100,30 @@ def cond_pdf_between(cfg: SystemConfig, model: LifetimeModel, x, window: Window)
     return high * model.pdf(x)
 
 
-def _quad(fn, a: float, b: float, quad: QuadratureSpec) -> float:
+def _quad(fn, a: float, b: float, quad: QuadratureSpec) -> tuple[float, float]:
     if b <= a:
-        return 0.0
+        return 0.0, 0.0
     result = integrate.quad(
         fn, a, b, epsabs=quad.abs_tol, epsrel=quad.rel_tol, limit=quad.max_subdivisions,
         full_output=1,
     )
     if len(result) > 3:
-        raise QuadratureError(f"integral on [{a}, {b}] did not converge: {result[3]}")
-    return result[0]
-
-
-def _tail_beyond(model: LifetimeModel, upper: float, quad: QuadratureSpec) -> float:
-    # E[X 1{X > U}] = U (1 - F(U)) + integral_U^inf (1 - F); the survival
-    # integrand is smooth and monotone, so this is the robust form.
-    sf_u = max(0.0, 1.0 - model.cdf(upper))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            extra = integrate.quad(
-                lambda x: max(0.0, 1.0 - model.cdf(x)), upper, np.inf,
-                epsabs=quad.abs_tol, epsrel=quad.rel_tol, limit=quad.max_subdivisions,
-            )[0]
-    except Exception:
-        extra = sf_u
-    return upper * sf_u + max(extra, 0.0)
+        message = " ".join(result[3].split())
+        raise QuadratureError(f"integral on [{a}, {b}] did not converge: {message}")
+    return result[0], result[1]
 
 
 def _partial_expectation(cfg, model, window, quad):
-    """Weighted E{X_1 | window event} over [0, U], plus the neglected tail estimate."""
+    """E{X_1 | window event} and its slope-weighted quadrature error estimate."""
     if not model.has_density:
         raise DensityUnsupportedError(f"{type(model).__name__} does not expose a density")
-    low, mid, high = _branch_coefficients(cfg, model, window)
-    xf = lambda x: x * model.pdf(x)
-    upper = max(window.t2, model.support_upper(quad.tail_mass))
-    total = (
-        low * _quad(xf, 0.0, window.t1, quad)
-        + mid * _quad(xf, window.t1, window.t2, quad)
-        + high * _quad(xf, window.t2, upper, quad)
-    )
-    return total, high * _tail_beyond(model, upper, quad)
+    slopes = window_slopes(cfg, model, window)
+    s1 = 1.0 - model.cdf(window.t1)
+    s2 = 1.0 - model.cdf(window.t2)
+    parts = [_quad(model.isf, a, b, quad) for a, b in ((s1, 1.0), (s2, s1), (0.0, s2))]
+    total = sum(c * value for c, (value, _) in zip(slopes, parts))
+    error = sum(c * err for c, (_, err) in zip(slopes, parts))
+    return total, error
 
 
 def mean_residual(
@@ -188,6 +158,6 @@ def mrl_summary(
     window: Window,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> MrlSummary:
-    """Mean residual life and mean past in one pass, with the tail estimate."""
+    """Mean residual life and mean past in one pass, with the error bound."""
     total, bound = _partial_expectation(cfg, model, window, quad)
     return MrlSummary(window.t1, window.t2, total - window.t2, window.t2 - total, bound)

@@ -457,3 +457,33 @@ def test_eval_grid_dispatch_and_validation():
         EvalGrid((0.0, 1.0), (0.5, 0.2))  # decreasing values
     with pytest.raises(DomainError):
         EvalGrid((0.0, 1.0), (0.5, 1.2))  # outside [0, 1]
+
+
+# --- array evaluation of the x-laws ------------------------------------------
+
+X_LAWS = [
+    ("joint", lambda cfg, m, x: joint_cdf_single(cfg, m, x, m.quantile(0.45))),
+    ("given_leq", lambda cfg, m, x: cond_cdf_given_leq(cfg, m, x, m.quantile(0.45))),
+    ("between", lambda cfg, m, x: cond_cdf_between(
+        cfg, m, x, Window(m.quantile(0.3), m.quantile(0.8)))),
+    ("given_eq", lambda cfg, m, x: cond_cdf_given_eq(cfg, m, x, m.quantile(0.45))),
+]
+
+
+@pytest.mark.parametrize("model", model_triplet(), ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("name,law", X_LAWS, ids=[name for name, _ in X_LAWS])
+def test_array_call_matches_scalar_calls(model, name, law):
+    cfg = SystemConfig(9, 4)
+    xs = np.array(grid_for(model, 50) + [model.quantile(0.45), model.quantile(0.3), math.inf])
+    values = law(cfg, model, xs)
+    assert isinstance(values, np.ndarray) and values.shape == xs.shape
+    scalars = [law(cfg, model, float(x)) for x in xs]
+    assert all(type(v) is float for v in scalars)
+    assert np.max(np.abs(values - scalars)) <= 1e-15
+
+
+@pytest.mark.parametrize("name,law", X_LAWS, ids=[name for name, _ in X_LAWS])
+@pytest.mark.parametrize("bad", [math.nan, -0.5])
+def test_array_call_rejects_bad_entries(name, law, bad):
+    with pytest.raises(DomainError):
+        law(SystemConfig(9, 4), EXP, np.array([0.1, bad, 2.0]))

@@ -53,6 +53,22 @@ def test_quantile_round_trip(model):
         assert model.cdf(model.quantile(u)) == pytest.approx(u, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "model", model_triplet() + [Weibull(0.1, 1.0)], ids=lambda m: repr(m)
+)
+def test_isf_is_the_quantile_of_the_survival_probability(model):
+    s = np.linspace(1e-3, 0.999, 201)
+    assert np.allclose(model.isf(s), model.quantile(1.0 - s), rtol=1e-9, atol=1e-12)
+    assert type(model.isf(0.5)) is float
+    # far below the precision of 1 - s, where quantile(1 - s) can no longer follow
+    tiny = np.logspace(-300, -1, 300)
+    values = model.isf(tiny)
+    assert np.all(np.isfinite(values))
+    assert np.all(np.diff(values) <= 0.0)
+    with pytest.raises(DomainError):
+        model.isf(0.0)
+
+
 @pytest.mark.parametrize("model", model_triplet(), ids=lambda m: type(m).__name__)
 def test_pdf_matches_cdf_slope(model):
     h = 1e-5
