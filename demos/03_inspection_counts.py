@@ -23,7 +23,7 @@ for n, r, k in [(12, 5, 3), (12, 7, 2)]:
         print(f"  {m:2d}   {str(p):>8s}   {float(p):14.5f}")
     print(f"  expected inspections: {mean} = {float(mean):.4f}\n")
 
-print("Brute-force check (all n! rank orderings, n = 6, r = 4, k = 2):")
+print("Brute-force check (all C(n, r-1) failed-position sets, n = 6, r = 4, k = 2):")
 cfg = os_.SystemConfig(6, 4)
 exact = os_.inspection_pmf(cfg, 2)
 brute = os_.exhaustive_inspection_pmf(cfg, 2)

@@ -9,8 +9,8 @@ The library computes, for an iid sample of component lifetimes:
   inspections needed to detect k failed components, in rational arithmetic,
 * interval-censored mean residual life and mean past of a component given
   the system failed inside an inspection window,
-* independent verification engines: exhaustive rank enumeration and seeded
-  Monte-Carlo simulation.
+* independent verification engines: exhaustive enumeration of failed-position
+  sets and seeded Monte-Carlo simulation.
 
 A command-line front end (``ordstat``) exposes every computation with CSV
 and JSON output.

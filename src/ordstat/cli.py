@@ -14,11 +14,13 @@ with ``meta`` (the inputs, the seed where one applies, and the package
 version) and a ``data`` array.  Exact probabilities carry numerator and
 denominator fields next to a fixed six-place decimal, so tables can be
 checked without parsing decimals.  Grids use the inclusive ``start:stop:step``
-syntax; when ``--x-grid`` is omitted the grid spans [0, quantile(0.999)].
+syntax with finite fields and at most ``MAX_GRID_POINTS`` points; when
+``--x-grid`` is omitted the grid spans [0, quantile(0.999)].
 
 Exit codes: 0 success, 2 argument or domain errors (one-line diagnostic on
 stderr naming the violated precondition), 3 I/O failure.  The ORDSTAT_SEED
-environment variable supplies the default seed for ``simulate``.
+environment variable supplies the default seed for ``simulate``; a seed must
+be a nonnegative integer.
 
 This module only parses arguments and formats reports; all numeric work
 lives in the library modules.
@@ -30,6 +32,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -53,6 +56,8 @@ __all__ = ["main", "OutputFormat", "parse_grid"]
 
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "ORDSTAT_SEED"
+# largest grid parse_grid builds; a bigger one is almost surely a typo
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -93,13 +98,26 @@ def parse_grid(text: str) -> list[float]:
         start, stop, step = (float(s) for s in parts)
     except ValueError:
         raise DomainError(f"grid spec {text!r} has a non-numeric field") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise DomainError(f"grid spec {text!r} needs finite start, stop and step")
     if step <= 0 or stop < start:
         raise DomainError(f"grid spec {text!r} needs step > 0 and stop >= start")
-    count = int((stop - start) / step + 1e-9)
+    count = (stop - start) / step + 1e-9
+    if not count < MAX_GRID_POINTS:  # also true when the span overflowed to inf
+        raise DomainError(f"grid spec {text!r} has more than {MAX_GRID_POINTS} points")
+    count = int(count)
     points = [start + i * step for i in range(count + 1)]
     if abs(points[-1] - stop) < step * 1e-6:
         points[-1] = stop
     return points
+
+
+def _seed(args) -> int:
+    """--seed, else $ORDSTAT_SEED, else DEFAULT_SEED; a nonnegative integer."""
+    raw = args.seed if args.seed is not None else os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)
+    if not str(raw).strip().isdecimal():
+        raise DomainError(f"seed must be a nonnegative integer, got {raw!r}")
+    return int(raw)
 
 
 def _x_grid(args, model) -> list[float]:
@@ -198,10 +216,7 @@ def _cmd_mrl(args) -> Report:
 def _cmd_simulate(args) -> Report:
     cfg = SystemConfig(args.n, args.r)
     model = parse_model(args.model)
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        seed = int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
+    seed = _seed(args)
     meta = _meta(
         "simulate", args, seed=seed, n=args.n, r=args.r, k=args.k, model=args.model,
         target=args.target, reps=args.reps, x=args.x, t=args.t, t1=args.t1, t2=args.t2,

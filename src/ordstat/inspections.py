@@ -3,22 +3,19 @@ k failed components in a system that fails at the r-th component failure.
 
 Components are examined in a fixed index order.  Component i counts as
 failed when its lifetime is strictly below the system lifetime X_{r:n}, so
-exactly r - 1 components are detectable and the k-th discovery happens
-somewhere between inspection k and inspection n - r + k + 1.  Writing
-lambda_j for the probability that j given components all fail strictly
-before the system, inclusion-exclusion over the exchangeable failure
-indicators gives
+exactly r - 1 components are detectable.  For continuous iid lifetimes
+every assignment of ranks to components is equally likely, so the set of
+failed positions is a uniformly random (r - 1)-subset of {1, ..., n}.  The
+inspection count N is the k-th smallest element of that subset, which has
+the negative hypergeometric law
 
-    P{N = m} = C(m-1, k-1) * sum_{j=0}^{m-k} (-1)^j C(m-k, j) lambda_{k+j}
+    P{N = m} = C(m-1, k-1) C(n-m, r-1-k) / C(n, r-1),   m = k .. n - r + k + 1:
 
-with
-
-    lambda_j = (n-j)! (r-1)! / (n! (r-j-1)!)   for j < r, and 0 for j >= r.
-
-The C(m-1, k-1) factor counts the inspection histories whose m-th step is
-the k-th discovery.  For continuous lifetimes the law does not depend on
-the lifetime distribution at all, so everything here is exact rational
-arithmetic; floats appear only on explicit conversion.
+k - 1 failed positions lie before m, position m itself is failed, and the
+other r - 1 - k lie after it (Johnson, Kemp & Kotz, *Univariate Discrete
+Distributions*, 3rd ed.).  The law does not depend on the lifetime
+distribution at all, so everything here is exact rational arithmetic;
+floats appear only on explicit conversion.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 from .errors import DomainError
 from .system import SystemConfig
@@ -43,27 +40,16 @@ __all__ = [
 Rational = Fraction
 
 
-def _lambda(cfg: SystemConfig, j: int) -> Fraction:
-    # At most r - 1 observations can fall strictly below the r-th order
-    # statistic, so the probability vanishes for j >= r.
-    if j >= cfg.r:
-        return Fraction(0)
-    num, den = 1, 1
-    for i in range(j):
-        num *= cfg.r - 1 - i
-        den *= cfg.n - i
-    return Fraction(num, den)
-
-
 def lambda_coeff(cfg: SystemConfig, j: int) -> Fraction:
     """Probability that j specified components all fail strictly before the system.
 
-    Equal to prod_{i=0}^{j-1} (r-1-i)/(n-i), i.e. (n-j)!(r-1)! / (n!(r-j-1)!),
-    for 1 <= j <= r - 1; distribution-free for continuous lifetimes.
+    Equal to prod_{i=0}^{j-1} (r-1-i)/(n-i) = P(r-1, j) / P(n, j) with P the
+    falling factorial, for 1 <= j <= r - 1; distribution-free for continuous
+    lifetimes.
     """
     if int(j) != j or not 1 <= j <= cfg.r - 1:
         raise DomainError(f"j must satisfy 1 <= j <= r - 1 = {cfg.r - 1}, got {j!r}")
-    return _lambda(cfg, int(j))
+    return Fraction(perm(cfg.r - 1, int(j)), perm(cfg.n, int(j)))
 
 
 @dataclass(frozen=True)
@@ -124,14 +110,11 @@ def inspection_pmf(cfg: SystemConfig, k: int) -> InspectionPmf:
     """Exact pmf of the inspection count over its support m = k .. n - r + k + 1."""
     cfg.validate_k(k)
     k = int(k)
+    n, r = cfg.n, cfg.r
     support = tuple(cfg.detection_support(k))
-    probs = []
-    for m in support:
-        alternating = sum(
-            (-1) ** j * comb(m - k, j) * _lambda(cfg, k + j) for j in range(m - k + 1)
-        )
-        probs.append(comb(m - 1, k - 1) * alternating)
-    return InspectionPmf(cfg, k, support, tuple(probs))
+    total = comb(n, r - 1)
+    probs = tuple(Fraction(comb(m - 1, k - 1) * comb(n - m, r - 1 - k), total) for m in support)
+    return InspectionPmf(cfg, k, support, probs)
 
 
 def expected_inspections(pmf: InspectionPmf) -> Fraction:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb, factorial, lgamma
+from math import factorial, lgamma
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -136,24 +136,24 @@ def window_slopes(cfg: SystemConfig, model: LifetimeModel, window: Window):
 def joint_cdf_single(cfg: SystemConfig, model: LifetimeModel, x, t):
     """Joint CDF P{X_1 <= x, X_{r:n} <= t}, elementwise over an array x.
 
-    For x <= t this is F(x) times the probability that at least r - 1 of the
-    remaining n - 1 observations are <= t.  For x > t the same expression
-    overcounts the configurations in which X_1 itself had to supply the r-th
-    small value, and the correction term
+    With below = P{Bin(n-1, F(t)) >= r-1} and above = P{Bin(n-1, F(t)) >= r}:
+    for x <= t this is F(x) below, since X_1 <= t leaves r - 1 of the other
+    n - 1 observations to fail by t.  For x > t it is
 
-        C(n-1, r-1) (F(x) - F(t)) F(t)^(r-1) (1 - F(t))^(n-r)
+        F(t) below + (F(x) - F(t)) above,
 
-    is subtracted.  The two branches agree at x = t, and the result is a CDF
-    in each argument separately.
+    splitting on X_1 <= t and t < X_1 <= x; in the second case the other
+    observations must supply all r failures by t.  The two branches agree
+    at x = t, and the result is a CDF in each argument separately.
     """
     x = _check_times(x, "x")
     t = _check_time(t, "t")
     n, r = cfg.n, cfg.r
     fx = model.cdf(x)
     ft = model.cdf(t)
-    value = fx * binom_tail(n - 1, r - 1, ft)
-    above = float(comb(n - 1, r - 1)) * (fx - ft) * ft ** (r - 1) * (1.0 - ft) ** (n - r)
-    return _clip01(np.where(x > t, value - above, value))
+    below = binom_tail(n - 1, r - 1, ft)
+    above = binom_tail(n - 1, r, ft)
+    return _clip01(np.where(x > t, ft * below + (fx - ft) * above, fx * below))
 
 
 def cond_cdf_given_leq(cfg: SystemConfig, model: LifetimeModel, x, t):

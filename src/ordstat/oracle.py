@@ -1,5 +1,5 @@
-"""Independent verification engines: exhaustive rank enumeration (exact,
-small n) and seeded Monte-Carlo simulation (any n).
+"""Independent verification engines: exhaustive enumeration of failed-position
+sets (exact, small n) and seeded Monte-Carlo simulation (any n).
 
 The Monte-Carlo engine draws lifetimes by inverse-CDF sampling of uniforms
 from numpy's PCG64 generator (``numpy.random.default_rng``).  The generator
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, sqrt
+from math import comb, sqrt
 from typing import Callable
 
 import numpy as np
@@ -204,26 +204,21 @@ def mc_inspection_pmf(
 
 
 def exhaustive_inspection_pmf(cfg: SystemConfig, k: int) -> InspectionPmf:
-    """Exact inspection-count pmf by enumerating all n! rank orderings.
+    """Exact inspection-count pmf by enumerating all sets of failed positions.
 
-    For continuous lifetimes every assignment of ranks to components is
-    equally likely, so the pmf is a ratio of counts over n! orderings.
-    Limited to n <= 10; this is the brute-force check for the closed form.
+    For continuous lifetimes the r - 1 components that fail before the
+    system sit at one of C(n, r - 1) equally likely sets of positions, and
+    the k-th failure turns up at the set's k-th smallest position.  Limited
+    to n <= 10; this is the brute-force check for the closed form.
     """
     if cfg.n > 10:
         raise EnumerationSizeError(f"exhaustive enumeration is limited to n <= 10, got n={cfg.n}")
     cfg.validate_k(k)
     k = int(k)
     counts = dict.fromkeys(cfg.detection_support(k), 0)
-    for ranks in itertools.permutations(range(1, cfg.n + 1)):
-        seen = 0
-        for position, rank in enumerate(ranks, start=1):
-            if rank < cfg.r:
-                seen += 1
-                if seen == k:
-                    counts[position] += 1
-                    break
-    total = factorial(cfg.n)
+    for failed in itertools.combinations(range(1, cfg.n + 1), cfg.r - 1):
+        counts[failed[k - 1]] += 1
+    total = comb(cfg.n, cfg.r - 1)
     support = tuple(counts)
     probs = tuple(Fraction(counts[m], total) for m in support)
     return InspectionPmf(cfg, k, support, probs)

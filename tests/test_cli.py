@@ -186,6 +186,28 @@ def test_conflicting_cond_modes_exit_two(capsys):
     assert "exactly one" in err
 
 
+@pytest.mark.parametrize("env,flag", [("abc", None), ("1.5", None), (None, "-1")])
+def test_bad_seed_exits_two(capsys, monkeypatch, env, flag):
+    argv = ["simulate", "--target", "event", "--n", "5", "--r", "2", "--model", "exp:1",
+            "--x", "1", "--t", "1", "--reps", "100"]
+    if env is not None:
+        monkeypatch.setenv("ORDSTAT_SEED", env)
+    if flag is not None:
+        argv += ["--seed", flag]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "seed must be a nonnegative integer" in err
+
+
+def test_large_system_exits_zero(capsys):
+    for argv in [
+        ["mrl", "--n", "2000", "--r", "1000", "--model", "exp:1", "--t1", "0.69", "--t2", "0.7"],
+        ["joint-cdf", "--n", "2000", "--r", "1000", "--model", "exp:1", "--t", "0.7"],
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+
+
 def test_unknown_flag_exits_two(capsys):
     code, _, _ = run_cli(capsys, "inspections", "--n", "12", "--r", "5", "--k", "3", "--bogus")
     assert code == 2
@@ -210,3 +232,8 @@ def test_grid_parsing_is_inclusive():
         parse_grid("1:0:0.1")
     with pytest.raises(DomainError):
         parse_grid("0:1:-0.5")
+    assert len(parse_grid("0:999999:1")) == 1_000_000
+    for spec in ["0:1:nan", "nan:1:0.1", "0:inf:1", "-inf:0:1", "0:1:inf",
+                 "0:1e9:1e-9", "0:1000000:1", "-1e308:1e308:1"]:
+        with pytest.raises(DomainError):
+            parse_grid(spec)

@@ -103,6 +103,14 @@ def test_pmf_normalization_and_nonnegativity_sweep():
                 assert pmf.support == tuple(range(k, n - r + k + 2))
 
 
+def test_expected_value_is_negative_hypergeometric_mean():
+    for n in range(2, 30):
+        for r in range(2, n + 1):
+            cfg = SystemConfig(n, r)
+            for k in range(1, r):
+                assert expected_inspections(inspection_pmf(cfg, k)) == Fraction(k * (n + 1), r)
+
+
 def test_expected_value_within_support_bounds():
     for n, r, k in [(6, 4, 2), (10, 2, 1), (12, 12, 5), (25, 13, 7)]:
         pmf = inspection_pmf(SystemConfig(n, r), k)

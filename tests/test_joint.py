@@ -96,6 +96,19 @@ def test_joint_cdf_continuous_across_diagonal():
         assert abs(above - at) < 1e-8
 
 
+def test_joint_cdf_is_a_cdf_at_large_n():
+    # n = 2000 overflows float(comb(n - 1, r - 1)); the law must still be a CDF
+    cfg = SystemConfig(2000, 1000)
+    t = 0.7
+    xs = np.linspace(0.0, 60.0, 601)
+    values = joint_cdf_single(cfg, EXP, xs, t)
+    assert np.all(np.isfinite(values))
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    assert np.all(np.diff(values) >= 0.0)
+    # far above t the first observation no longer constrains the event
+    assert values[-1] == pytest.approx(order_stat_cdf(cfg, EXP, t), rel=1e-12, abs=0.0)
+
+
 def test_joint_cdf_rejects_negative_times():
     cfg = SystemConfig(4, 2)
     with pytest.raises(DomainError):

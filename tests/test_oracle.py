@@ -109,6 +109,14 @@ def test_exhaustive_matches_closed_form(n, r, k):
     assert exhaustive_inspection_pmf(cfg, k).as_dict() == inspection_pmf(cfg, k).as_dict()
 
 
+def test_exhaustive_matches_closed_form_for_every_small_system():
+    for n in range(2, 11):
+        for r in range(2, n + 1):
+            cfg = SystemConfig(n, r)
+            for k in range(1, r):
+                assert exhaustive_inspection_pmf(cfg, k).as_dict() == inspection_pmf(cfg, k).as_dict()
+
+
 def test_exhaustive_reference_value():
     assert exhaustive_inspection_pmf(SystemConfig(6, 4), 2).prob(2) == pytest.approx(0.2)
 

@@ -26,10 +26,18 @@ def test_tail_matches_exact_rational_summation():
     assert binom_tail(11, 4, 0.5) == pytest.approx(float(oracle), abs=1e-14)
 
 
-@pytest.mark.parametrize("n,lo,p", [(7, 3, 0.3), (20, 11, 0.62), (1, 1, 0.125), (9, 2, 0.993)])
+@pytest.mark.parametrize(
+    "n,lo,p",
+    [
+        (7, 3, 0.3), (20, 11, 0.62), (1, 1, 0.125), (9, 2, 0.993),
+        # deep tails and sizes where a term-by-term float sum under- or overflows
+        (800, 200, 0.01), (2000, 1000, 0.5), (1500, 20, 0.002),
+    ],
+)
 def test_tail_against_rational_oracle(n, lo, p):
     oracle = float(exact_binom_tail(n, lo, Fraction(p)))
     assert binom_tail(n, lo, p) == pytest.approx(oracle, abs=1e-13)
+    assert binom_tail(n, lo, p) == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 
 def test_beta_identity_at_unit_shapes():
