@@ -21,11 +21,12 @@ print("Larger r means more failures before the window, so the inspected")
 print("component is more likely to be long dead and phi drops.\n")
 
 print("Sliding unit-width windows (n = 10, r = 4):")
-print("  window        phi         psi         error bound")
+print("  window        phi         psi         P{window}")
 for t1 in [0.25, 0.5, 1.0, 2.0, 3.0]:
     w = os_.Window(t1, t1 + 1.0)
     s = os_.mrl_summary(cfg, model, w)
-    print(f"  ({t1:4.2f},{t1 + 1:4.2f})  {s.phi:9.5f}  {s.psi:10.5f}   {s.truncation_bound:9.2e}")
+    p = os_.window_prob(cfg, model, w)
+    print(f"  ({t1:4.2f},{t1 + 1:4.2f})  {s.phi:9.5f}  {s.psi:10.5f}   {p:9.2e}")
 
 print()
 print("The conditional density behind these numbers (window (1,2), r = 4):")

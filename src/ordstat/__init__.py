@@ -24,7 +24,6 @@ from .errors import (
     EnumerationSizeError,
     NullConditioningError,
     OrdstatError,
-    QuadratureError,
 )
 from .inspections import (
     InspectionPmf,
@@ -49,7 +48,6 @@ from .joint import (
 from .lifetimes import Empirical, Exponential, LifetimeModel, Uniform, Weibull, parse_model
 from .mrl import (
     MrlSummary,
-    QuadratureSpec,
     cond_pdf_between,
     mean_past,
     mean_residual,
@@ -73,7 +71,6 @@ __all__ = [
     "NullConditioningError",
     "DensityUnsupportedError",
     "EnumerationSizeError",
-    "QuadratureError",
     "BetaParams",
     "binom_tail",
     "reg_inc_beta",
@@ -101,7 +98,6 @@ __all__ = [
     "lambda_coeff",
     "inspection_pmf",
     "expected_inspections",
-    "QuadratureSpec",
     "MrlSummary",
     "cond_pdf_between",
     "mean_residual",

@@ -6,7 +6,6 @@ __all__ = [
     "NullConditioningError",
     "DensityUnsupportedError",
     "EnumerationSizeError",
-    "QuadratureError",
 ]
 
 
@@ -28,7 +27,3 @@ class DensityUnsupportedError(OrdstatError):
 
 class EnumerationSizeError(DomainError):
     """Exhaustive enumeration was requested for too large a sample."""
-
-
-class QuadratureError(OrdstatError):
-    """Adaptive quadrature failed to reach the requested tolerance."""

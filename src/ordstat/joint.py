@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import factorial, lgamma
+from math import lgamma
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.special import xlog1py, xlogy
 
 from .errors import DomainError, NullConditioningError
 from .lifetimes import LifetimeModel
@@ -257,12 +258,12 @@ def joint_pdf_multi(cfg: SystemConfig, model: LifetimeModel, xs: Iterable, t) ->
     prod = math.prod(model.pdf(x) for x in values)
     if k >= r:
         return prod
-    try:
-        coef = float(factorial(n - k) // (factorial(r - k - 1) * factorial(n - r)))
-    except OverflowError:
-        coef = math.exp(lgamma(n - k + 1) - lgamma(r - k) - lgamma(n - r + 1))
     ft = model.cdf(t)
-    return coef * ft ** (r - k - 1) * (1.0 - ft) ** (n - r) * model.pdf(t) * prod
+    # in logs, so that the coefficient cannot overflow; xlogy and xlog1py
+    # give 0 * log(0) = 0, keeping F(t) = 0 and F(t) = 1 defined
+    log_coef = lgamma(n - k + 1) - lgamma(r - k) - lgamma(n - r + 1)
+    log_powers = xlogy(r - k - 1, ft) + xlog1py(n - r, -ft)
+    return math.exp(log_coef + log_powers) * model.pdf(t) * prod
 
 
 def pair_cond_joint_cdf(

@@ -1,12 +1,12 @@
 """Lifetime models supported on [0, inf).
 
 The parametric models (exponential, Weibull, uniform) are absolutely
-continuous with closed-form quantiles and inverse survival functions.  The
-empirical model wraps a fixed sample as a right-continuous step CDF; it is
-valid wherever only the CDF or sampling is needed and refuses density
-evaluations.
+continuous with closed-form quantiles and partial moments.  The empirical
+model wraps a fixed sample as a right-continuous step CDF; it is valid
+wherever only the CDF or sampling is needed and refuses density evaluations
+and partial moments.
 
-``cdf``, ``pdf``, ``quantile`` and ``isf`` accept floats or numpy arrays and
+``cdf``, ``pdf`` and ``quantile`` accept floats or numpy arrays and
 broadcast elementwise; scalar input yields a plain float.
 """
 
@@ -16,6 +16,7 @@ import math
 from abc import ABC, abstractmethod
 
 import numpy as np
+from scipy.special import gamma, gammainc, gammaincc
 
 from .errors import DensityUnsupportedError, DomainError
 
@@ -36,6 +37,36 @@ def _prepare(x):
 
 def _finish(arr, scalar):
     return float(arr) if scalar else arr
+
+
+def _check_interval(a, b):
+    a, b = float(a), float(b)
+    if not 0.0 <= a <= b:  # also false for a NaN end
+        raise DomainError(f"need 0 <= a <= b, got [{a!r}, {b!r}]")
+    return a, b
+
+
+def _weibull_partial_moment(shape, scale, a, b):
+    """The integral of x dF(x) over [a, b] for Weibull(shape, scale).
+
+    With s = 1 + 1/shape, y = (x/scale)**shape and the regularized incomplete
+    gamma functions P and Q = 1 - P, it is scale Gamma(s) [P(s, y_b) - P(s, y_a)]
+    = scale Gamma(s) [Q(s, y_a) - Q(s, y_b)].  The difference is taken on the
+    side whose larger term is smaller, so its rounding error is a few eps
+    times the smaller of the moments over [0, b] and [a, inf).
+    """
+    a, b = _check_interval(a, b)
+    s = 1.0 + 1.0 / shape
+    mean = scale * float(gamma(s))
+    if not math.isfinite(mean):
+        raise DomainError(f"the mean scale*Gamma(1 + 1/shape) overflows at shape {shape!r}")
+    # a y beyond the largest float is inf, where P = 1 and Q = 0
+    with np.errstate(over="ignore"):
+        ya, yb = np.float64(a / scale) ** shape, np.float64(b / scale) ** shape
+    lower_b, upper_a = gammainc(s, yb), gammaincc(s, ya)
+    if upper_a < lower_b:
+        return mean * float(upper_a - gammaincc(s, yb))
+    return mean * float(lower_b - gammainc(s, ya))
 
 
 class LifetimeModel(ABC):
@@ -63,6 +94,16 @@ class LifetimeModel(ABC):
         if np.any(zero):
             u[zero] = np.nextafter(0.0, 1.0)
         return self.quantile(u)
+
+    def partial_moment(self, a: float, b: float) -> float:
+        """The integral of x dF(x) over [a, b], for 0 <= a <= b <= inf.
+
+        Closed forms compute it as a difference of two terms no larger than
+        the smaller of the moments over [0, b] and [a, inf), which bounds
+        its rounding error.  Models without a density raise
+        DensityUnsupportedError.
+        """
+        raise DensityUnsupportedError(f"{type(self).__name__} does not expose a density")
 
     def support_upper(self, mass: float) -> float:
         """A finite cutoff U with 1 - F(U) <= mass."""
@@ -98,10 +139,8 @@ class Exponential(LifetimeModel):
         arr, scalar = self._check_u(u)
         return _finish(-np.log1p(-arr) / self.rate, scalar)
 
-    def isf(self, s):
-        """The x with 1 - F(x) = s, for s strictly inside (0, 1)."""
-        arr, scalar = self._check_u(s)
-        return _finish(-np.log(arr) / self.rate, scalar)
+    def partial_moment(self, a: float, b: float) -> float:
+        return _weibull_partial_moment(1.0, 1.0 / self.rate, a, b)
 
     def __repr__(self):
         return f"Exponential(rate={self.rate!r})"
@@ -138,10 +177,8 @@ class Weibull(LifetimeModel):
         arr, scalar = self._check_u(u)
         return _finish(self.scale * (-np.log1p(-arr)) ** (1.0 / self.shape), scalar)
 
-    def isf(self, s):
-        """The x with 1 - F(x) = s, for s strictly inside (0, 1)."""
-        arr, scalar = self._check_u(s)
-        return _finish(self.scale * (-np.log(arr)) ** (1.0 / self.shape), scalar)
+    def partial_moment(self, a: float, b: float) -> float:
+        return _weibull_partial_moment(self.shape, self.scale, a, b)
 
     def __repr__(self):
         return f"Weibull(shape={self.shape!r}, scale={self.scale!r})"
@@ -172,10 +209,10 @@ class Uniform(LifetimeModel):
         arr, scalar = self._check_u(u)
         return _finish(self.lo + arr * (self.hi - self.lo), scalar)
 
-    def isf(self, s):
-        """The x with 1 - F(x) = s, for s strictly inside (0, 1)."""
-        arr, scalar = self._check_u(s)
-        return _finish(self.hi - arr * (self.hi - self.lo), scalar)
+    def partial_moment(self, a: float, b: float) -> float:
+        a, b = _check_interval(a, b)
+        a, b = max(a, self.lo), min(b, self.hi)
+        return (b - a) * (b + a) / (2.0 * (self.hi - self.lo)) if a < b else 0.0
 
     def __repr__(self):
         return f"Uniform(lo={self.lo!r}, hi={self.hi!r})"

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import DomainError, EnumerationSizeError, NullConditioningError
 from .inspections import InspectionPmf
+from .joint import _check_time
 from .lifetimes import LifetimeModel
 from .system import SystemConfig, Window
 
@@ -65,19 +66,18 @@ class McEstimate:
 
 def first_observation_leq(x) -> EventFn:
     """Event {X_1 <= x}."""
-    x = float(x)
-    return lambda samples, ordered: samples[:, 0] <= x
+    return observation_leq(1, x)
 
 
 def observation_leq(index: int, x) -> EventFn:
     """Event {X_index <= x} for a 1-based component index."""
-    i, x = int(index) - 1, float(x)
+    i, x = int(index) - 1, _check_time(x, "x")
     return lambda samples, ordered: samples[:, i] <= x
 
 
 def order_stat_leq(cfg: SystemConfig, t) -> EventFn:
     """Event {X_{r:n} <= t}."""
-    t = float(t)
+    t = _check_time(t, "t")
     return lambda samples, ordered: ordered[:, cfg.r - 1] <= t
 
 

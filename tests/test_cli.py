@@ -186,6 +186,16 @@ def test_conflicting_cond_modes_exit_two(capsys):
     assert "exactly one" in err
 
 
+@pytest.mark.parametrize("flag", ["--x", "--t"])
+def test_simulate_nan_threshold_exits_two(capsys, flag):
+    argv = ["simulate", "--target", "event", "--n", "5", "--r", "2", "--model", "exp:1",
+            "--x", "1", "--t", "1", "--reps", "100"]
+    argv[argv.index(flag) + 1] = "nan"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "must be a nonnegative time" in err
+
+
 @pytest.mark.parametrize("env,flag", [("abc", None), ("1.5", None), (None, "-1")])
 def test_bad_seed_exits_two(capsys, monkeypatch, env, flag):
     argv = ["simulate", "--target", "event", "--n", "5", "--r", "2", "--model", "exp:1",

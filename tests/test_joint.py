@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from conftest import model_triplet
 from ordstat import (
@@ -17,6 +18,7 @@ from ordstat import (
     cond_cdf_between,
     cond_cdf_given_eq,
     cond_cdf_given_leq,
+    cond_pdf_between,
     eval_grid,
     joint_cdf_multi,
     joint_cdf_single,
@@ -336,6 +338,23 @@ def test_multi_pdf_reduces_to_product_when_k_reaches_r():
     assert joint_pdf_multi(cfg, EXP, xs, 1.2) == pytest.approx(expected, abs=1e-15)
 
 
+def test_multi_pdf_matches_beta_density_at_large_n():
+    # the coefficient alone is about 1e600 here; with F(t) = U the density is
+    # the Beta(r - k, n - r + 1) density of U times f(t) prod f(x_i)
+    cfg = SystemConfig(2000, 1000)
+    xs = [0.3, 0.5]
+    t = math.log(2.0)
+    k = len(xs)
+    expected = (
+        stats.beta.pdf(EXP.cdf(t), cfg.r - k, cfg.n - cfg.r + 1)
+        * EXP.pdf(t) * math.prod(EXP.pdf(x) for x in xs)
+    )
+    assert joint_pdf_multi(cfg, EXP, xs, t) == pytest.approx(expected, rel=1e-10)
+    # F(t) = 0: the power F(t)^(r-k-1) is 0, or 1 when r - k - 1 = 0
+    assert joint_pdf_multi(cfg, EXP, [0.0, 0.0], 0.0) == 0.0
+    assert joint_pdf_multi(SystemConfig(5, 3), EXP, [0.0, 0.0], 0.0) == pytest.approx(3.0)
+
+
 def test_multi_pdf_matches_mixed_derivative_of_single_cdf():
     # d^2/dx dt of the joint CDF, central differences
     cfg = SystemConfig(7, 4)
@@ -480,6 +499,8 @@ X_LAWS = [
     ("between", lambda cfg, m, x: cond_cdf_between(
         cfg, m, x, Window(m.quantile(0.3), m.quantile(0.8)))),
     ("given_eq", lambda cfg, m, x: cond_cdf_given_eq(cfg, m, x, m.quantile(0.45))),
+    ("pdf_between", lambda cfg, m, x: cond_pdf_between(
+        cfg, m, x, Window(m.quantile(0.3), m.quantile(0.8)))),
 ]
 
 

@@ -54,19 +54,46 @@ def test_quantile_round_trip(model):
 
 
 @pytest.mark.parametrize(
-    "model", model_triplet() + [Weibull(0.1, 1.0)], ids=lambda m: repr(m)
+    "model,mean",
+    [
+        (Exponential(2.0), 0.5),
+        (Weibull(2.0, 1.0), math.sqrt(math.pi) / 2.0),
+        (Weibull(0.5, 3.0), 6.0),
+        (Uniform(0.7, 1.9), 1.3),
+    ],
+    ids=["exp", "weibull-2", "weibull-0.5", "uniform-lo"],
 )
-def test_isf_is_the_quantile_of_the_survival_probability(model):
-    s = np.linspace(1e-3, 0.999, 201)
-    assert np.allclose(model.isf(s), model.quantile(1.0 - s), rtol=1e-9, atol=1e-12)
-    assert type(model.isf(0.5)) is float
-    # far below the precision of 1 - s, where quantile(1 - s) can no longer follow
-    tiny = np.logspace(-300, -1, 300)
-    values = model.isf(tiny)
-    assert np.all(np.isfinite(values))
-    assert np.all(np.diff(values) <= 0.0)
+def test_partial_moment_integrates_x_dF(model, mean):
+    quantiles = [model.quantile(u) for u in (1e-8, 0.1, 0.5, 0.9, 1.0 - 1e-10)]
+    cuts = [0.0, *quantiles, math.inf]
+    for a, b in zip(cuts, cuts[1:]):
+        # quad misses the density jump of a uniform law at lo unless told,
+        # and its support ends at hi
+        lo, hi = getattr(model, "lo", a), getattr(model, "hi", b)
+        direct, _ = integrate.quad(
+            lambda x: x * model.pdf(x), a, min(b, hi),
+            points=[lo] if a < lo < b else None, epsabs=0.0, epsrel=1e-12,
+        )
+        assert model.partial_moment(a, b) == pytest.approx(direct, rel=1e-10, abs=0.0)
+    assert model.partial_moment(cuts[2], cuts[2]) == 0.0
+    assert model.partial_moment(0.0, math.inf) == pytest.approx(mean, rel=1e-14)
+    regions = zip(cuts, cuts[1:])
+    assert sum(model.partial_moment(a, b) for a, b in regions) == pytest.approx(mean, rel=1e-14)
     with pytest.raises(DomainError):
-        model.isf(0.0)
+        model.partial_moment(1.0, 0.5)
+    with pytest.raises(DomainError):
+        model.partial_moment(math.nan, 1.0)
+
+
+def test_partial_moment_rejects_an_overflowing_mean():
+    # the mean Gamma(1 + 1/shape) exceeds the largest float below shape 1/170.6
+    with pytest.raises(DomainError):
+        Weibull(0.005, 1.0).partial_moment(0.0, 1.0)
+
+
+def test_empirical_has_no_partial_moment():
+    with pytest.raises(DensityUnsupportedError):
+        Empirical([0.5, 1.5]).partial_moment(0.0, 1.0)
 
 
 @pytest.mark.parametrize("model", model_triplet(), ids=lambda m: type(m).__name__)

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from conftest import exact_binom_tail
@@ -10,7 +12,6 @@ from ordstat import (
     Empirical,
     Exponential,
     NullConditioningError,
-    QuadratureSpec,
     SystemConfig,
     Uniform,
     Weibull,
@@ -167,8 +168,10 @@ WEIBULL_TENTH = Weibull(0.1, 1.0)
         # a mean of 10! = 3.6e6 carried almost entirely by the far tail
         (SystemConfig(10, 4), WEIBULL_TENTH,
          Window(WEIBULL_TENTH.quantile(0.3), WEIBULL_TENTH.quantile(0.5))),
+        # a mean of 20! = 2.4e18, with the window in the lower half
+        (SystemConfig(10, 4), Weibull(0.05, 1.0), Window(1e-9, 0.0006)),
     ],
-    ids=["uniform-lo", "weibull-0.5", "weibull-0.1"],
+    ids=["uniform-lo", "weibull-0.5", "weibull-0.1", "weibull-0.05"],
 )
 def test_mrl_matches_partial_moment_closed_form(cfg, model, window):
     mean = closed_form_window_mean(cfg, model, window)
@@ -176,6 +179,41 @@ def test_mrl_matches_partial_moment_closed_form(cfg, model, window):
     error = abs(summary.phi - (mean - window.t2))
     assert error <= summary.truncation_bound + 1e-12
     assert error <= 1e-10 * mean
+
+
+@st.composite
+def windowed_systems(draw):
+    n = draw(st.integers(1, 30))
+    r = draw(st.integers(1, n))
+    model = draw(st.one_of(
+        st.builds(Exponential, st.floats(0.2, 5.0)),
+        st.builds(Weibull, st.floats(0.5, 5.0), st.floats(0.5, 3.0)),
+        st.builds(Uniform, st.floats(0.0, 1.0), st.floats(1.5, 4.0)),
+    ))
+    u1 = draw(st.sampled_from([0.0, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9]))
+    u2 = u1 + draw(st.floats(0.02, 0.5)) * (1.0 - u1)
+    t1 = model.quantile(u1) if u1 > 0.0 else 0.0
+    return SystemConfig(n, r), model, Window(t1, model.quantile(u2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(windowed_systems())
+def test_mrl_matches_quadrature_of_the_conditional_density(case):
+    cfg, model, window = case
+    # quad misses the density jump of a uniform law at lo unless told
+    lo = getattr(model, "lo", 0.0)
+    upper = getattr(model, "hi", math.inf)
+    direct = 0.0
+    for a, b in [(0.0, window.t1), (window.t1, window.t2), (window.t2, upper)]:
+        if a < b:
+            value, _ = integrate.quad(
+                lambda x: x * cond_pdf_between(cfg, model, x, window), a, b,
+                points=[lo] if a < lo < b else None, limit=200,
+            )
+            direct += value
+    summary = mrl_summary(cfg, model, window)
+    assert summary.phi + window.t2 == pytest.approx(direct, rel=1e-8)
+    assert summary.phi + summary.psi == 0.0
 
 
 def test_density_requires_a_density_model():
@@ -190,13 +228,6 @@ def test_null_window_raises():
     model = Uniform(0.0, 1.0)
     with pytest.raises(NullConditioningError):
         mean_residual(SystemConfig(3, 2), model, Window(2.0, 3.0))
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(DomainError):
-        QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        QuadratureSpec(max_subdivisions=0)
 
 
 def test_window_validation():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ordstat import (
+    DomainError,
     EnumerationSizeError,
     Exponential,
     NullConditioningError,
@@ -143,3 +144,18 @@ def test_simulated_pmf_point_mass_cases():
     estimates = mc_inspection_pmf(cfg, EXP, 3, 100_000, seed=9)
     assert abs(estimates[3].estimate - 0.25) <= 4.0 * estimates[3].std_error
     assert abs(estimates[4].estimate - 0.75) <= 4.0 * estimates[4].std_error
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: first_observation_leq(v),
+        lambda v: observation_leq(2, v),
+        lambda v: order_stat_leq(SystemConfig(5, 2), v),
+    ],
+    ids=["first_observation_leq", "observation_leq", "order_stat_leq"],
+)
+@pytest.mark.parametrize("bad", [math.nan, -0.5])
+def test_event_builders_reject_bad_thresholds(build, bad):
+    with pytest.raises(DomainError):
+        build(bad)
