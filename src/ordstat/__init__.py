@@ -61,7 +61,7 @@ from .oracle import (
     mc_event_prob,
     mc_inspection_pmf,
 )
-from .special import BetaParams, binom_tail, reg_inc_beta
+from .special import binom_tail, reg_inc_beta
 from .system import SystemConfig, Window
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "NullConditioningError",
     "DensityUnsupportedError",
     "EnumerationSizeError",
-    "BetaParams",
     "binom_tail",
     "reg_inc_beta",
     "LifetimeModel",

@@ -10,12 +10,13 @@ mrl           mean residual life / mean past for an inspection window
 simulate      seeded Monte-Carlo estimates for events or inspection counts
 
 Output is CSV by default or JSON with ``--format json``: a single object
-with ``meta`` (the inputs, the seed where one applies, and the package
-version) and a ``data`` array.  Exact probabilities carry numerator and
-denominator fields next to a fixed six-place decimal, so tables can be
-checked without parsing decimals.  Grids use the inclusive ``start:stop:step``
-syntax with finite fields and at most ``MAX_GRID_POINTS`` points; when
-``--x-grid`` is omitted the grid spans [0, quantile(0.999)].
+with ``meta`` (the command, the package version, the seed, or null where
+none applies, and every input given on the command line) and a ``data``
+array.  Exact probabilities carry numerator and denominator fields next to
+a fixed six-place decimal, so tables can be checked without parsing
+decimals.  Grids use the inclusive ``start:stop:step`` syntax with finite
+fields and at most ``MAX_GRID_POINTS`` points; when ``--x-grid`` is omitted
+the grid spans [0, quantile(0.999)].
 
 Exit codes: 0 success, 2 argument or domain errors (one-line diagnostic on
 stderr naming the violated precondition), 3 I/O failure.  The ORDSTAT_SEED
@@ -23,7 +24,7 @@ environment variable supplies the default seed for ``simulate``; a seed must
 be a nonnegative integer.
 
 This module only parses arguments and formats reports; all numeric work
-lives in the library modules.
+lives in the library modules, and no library module formats output.
 """
 
 from __future__ import annotations
@@ -52,36 +53,25 @@ from .oracle import (
 )
 from .system import SystemConfig, Window
 
-__all__ = ["main", "OutputFormat", "parse_grid"]
+__all__ = ["main", "parse_grid"]
 
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "ORDSTAT_SEED"
 # largest grid parse_grid builds; a bigger one is almost surely a typo
 MAX_GRID_POINTS = 1_000_000
-
-
-@dataclass(frozen=True)
-class OutputFormat:
-    """Report format and destination (a path, or None for stdout)."""
-
-    kind: str
-    destination: str | None
-
-    def __post_init__(self):
-        if self.kind not in ("csv", "json"):
-            raise DomainError(f"format must be csv or json, got {self.kind!r}")
+# parsed arguments that choose how and where to write, not what to compute
+_NOT_INPUTS = ("format", "output", "handler")
 
 
 @dataclass
 class Report:
     """JSON ``records``; the CSV shows the ``header`` columns of each record."""
 
-    meta: dict
     header: list[str]
     records: list[dict]
 
 
-def _dec(value: float) -> str:
+def _dec(value) -> str:
     return f"{float(value):.6f}"
 
 
@@ -112,9 +102,9 @@ def parse_grid(text: str) -> list[float]:
     return points
 
 
-def _seed(args) -> int:
+def _seed(flag) -> int:
     """--seed, else $ORDSTAT_SEED, else DEFAULT_SEED; a nonnegative integer."""
-    raw = args.seed if args.seed is not None else os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)
+    raw = flag if flag is not None else os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)
     if not str(raw).strip().isdecimal():
         raise DomainError(f"seed must be a nonnegative integer, got {raw!r}")
     return int(raw)
@@ -127,9 +117,11 @@ def _x_grid(args, model) -> list[float]:
     return [i * hi / 200.0 for i in range(201)]
 
 
-def _meta(command: str, args, seed=None, **inputs) -> dict:
-    meta = {"command": command, "version": __version__, "seed": seed}
-    meta.update({k: v for k, v in inputs.items() if v is not None})
+def _meta(args) -> dict:
+    """The command, the version, the seed (None if the command takes none) and
+    every input given on the command line."""
+    meta = {"version": __version__, "seed": None}
+    meta.update((k, v) for k, v in vars(args).items() if v is not None and k not in _NOT_INPUTS)
     return meta
 
 
@@ -137,37 +129,27 @@ def _grid_records(grid, **extra) -> list[dict]:
     return [{**extra, "x": x, "value": _dec(v)} for x, v in zip(grid.points, grid.values)]
 
 
-def _cmd_joint(args) -> Report:
-    cfg = SystemConfig(args.n, args.r)
+def _cmd_joint(args, cfg: SystemConfig) -> Report:
     model = parse_model(args.model)
     xs = _x_grid(args, model)
-    meta = _meta(
-        "joint-cdf", args, n=args.n, r=args.r, model=args.model,
-        t=args.t, t_grid=args.t_grid, x_grid=args.x_grid,
-    )
     if args.t_grid:
         records = []
         for t in parse_grid(args.t_grid):
             records += _grid_records(eval_grid(cfg, model, xs, "joint", t=t), t=t)
-        return Report(meta, ["t", "x", "value"], records)
+        return Report(["t", "x", "value"], records)
     if args.t is None:
         raise DomainError("joint-cdf needs --t or --t-grid")
     grid = eval_grid(cfg, model, xs, "joint", t=args.t)
-    return Report(meta, ["x", "value"], _grid_records(grid))
+    return Report(["x", "value"], _grid_records(grid))
 
 
-def _cmd_cond(args) -> Report:
-    cfg = SystemConfig(args.n, args.r)
+def _cmd_cond(args, cfg: SystemConfig) -> Report:
     model = parse_model(args.model)
     xs = _x_grid(args, model)
     windowed = args.t1 is not None or args.t2 is not None
     modes = sum([args.t is not None, windowed, args.at is not None])
     if modes != 1:
         raise DomainError("cond-cdf needs exactly one of --t, --t1/--t2, or --at")
-    meta = _meta(
-        "cond-cdf", args, n=args.n, r=args.r, model=args.model,
-        t=args.t, t1=args.t1, t2=args.t2, at=args.at, x_grid=args.x_grid,
-    )
     if args.t is not None:
         grid = eval_grid(cfg, model, xs, "given_leq", t=args.t)
     elif windowed:
@@ -176,71 +158,61 @@ def _cmd_cond(args) -> Report:
         grid = eval_grid(cfg, model, xs, "between", window=Window(args.t1, args.t2))
     else:
         grid = eval_grid(cfg, model, xs, "given_eq", t=args.at)
-    return Report(meta, ["x", "value"], _grid_records(grid))
+    return Report(["x", "value"], _grid_records(grid))
 
 
-def _cmd_inspections(args) -> Report:
-    cfg = SystemConfig(args.n, args.r)
+def _cmd_inspections(args, cfg: SystemConfig) -> Report:
     pmf = inspection_pmf(cfg, args.k)
-    meta = _meta("inspections", args, n=args.n, r=args.r, k=args.k, expected=args.expected or None)
     if args.expected:
         mean = expected_inspections(pmf)
-        fraction = f"{mean.numerator}/{mean.denominator}"
-        return Report(
-            meta,
-            ["expected_fraction", "expected_decimal"],
-            [{
-                "expected_numerator": mean.numerator,
-                "expected_denominator": mean.denominator,
-                "expected_fraction": fraction,
-                "expected_decimal": _dec(float(mean)),
-            }],
-        )
-    return Report(meta, ["m", "prob_numerator", "prob_denominator", "prob_decimal"],
-                  pmf.to_json_records())
+        record = {
+            "expected_numerator": mean.numerator,
+            "expected_denominator": mean.denominator,
+            "expected_fraction": f"{mean.numerator}/{mean.denominator}",
+            "expected_decimal": _dec(mean),
+        }
+        return Report(["expected_fraction", "expected_decimal"], [record])
+    records = [
+        {"m": m, "prob_numerator": p.numerator, "prob_denominator": p.denominator,
+         "prob_decimal": _dec(p)}
+        for m, p in zip(pmf.support, pmf.probs)
+    ]
+    return Report(["m", "prob_numerator", "prob_denominator", "prob_decimal"], records)
 
 
-def _cmd_mrl(args) -> Report:
-    cfg = SystemConfig(args.n, args.r)
+def _cmd_mrl(args, cfg: SystemConfig) -> Report:
     model = parse_model(args.model)
     summary = mrl_summary(cfg, model, Window(args.t1, args.t2))
-    meta = _meta("mrl", args, n=args.n, r=args.r, model=args.model, t1=args.t1, t2=args.t2)
     record = {
         "t1": summary.t1, "t2": summary.t2,
         "phi": _dec(summary.phi), "psi": _dec(summary.psi),
         "truncation_bound": f"{summary.truncation_bound:.6e}",
     }
-    return Report(meta, ["t1", "t2", "phi", "psi", "truncation_bound"], [record])
+    return Report(["t1", "t2", "phi", "psi", "truncation_bound"], [record])
 
 
-def _cmd_simulate(args) -> Report:
-    cfg = SystemConfig(args.n, args.r)
+def _cmd_simulate(args, cfg: SystemConfig) -> Report:
     model = parse_model(args.model)
-    seed = _seed(args)
-    meta = _meta(
-        "simulate", args, seed=seed, n=args.n, r=args.r, k=args.k, model=args.model,
-        target=args.target, reps=args.reps, x=args.x, t=args.t, t1=args.t1, t2=args.t2,
-    )
     if args.target == "inspections":
         if args.k is None:
             raise DomainError("simulate --target inspections needs --k")
-        estimates = mc_inspection_pmf(cfg, model, args.k, args.reps, seed)
+        estimates = mc_inspection_pmf(cfg, model, args.k, args.reps, args.seed)
         records = [{"m": m, "estimate": _dec(e.estimate), "std_error": f"{e.std_error:.6e}",
                     "replications": e.replications} for m, e in estimates.items()]
-        return Report(meta, ["m", "estimate", "std_error", "replications"], records)
+        return Report(["m", "estimate", "std_error", "replications"], records)
     if args.x is None:
         raise DomainError("simulate --target event needs --x")
     windowed = args.t1 is not None and args.t2 is not None
     if windowed:
         estimate = mc_event_prob(
-            cfg, model, first_observation_leq(args.x), args.reps, seed,
+            cfg, model, first_observation_leq(args.x), args.reps, args.seed,
             given=order_stat_in_window(cfg, Window(args.t1, args.t2)),
         )
     elif args.t is not None:
         event = first_observation_leq(args.x)
         stat_event = order_stat_leq(cfg, args.t)
         estimate = mc_event_prob(
-            cfg, model, lambda s, o: event(s, o) & stat_event(s, o), args.reps, seed,
+            cfg, model, lambda s, o: event(s, o) & stat_event(s, o), args.reps, args.seed,
         )
     else:
         raise DomainError("simulate --target event needs --t, or both --t1 and --t2")
@@ -251,12 +223,12 @@ def _cmd_simulate(args) -> Report:
         "replications": estimate.replications,
         "conditioned_fraction": _dec(estimate.conditioned_fraction),
     }
-    return Report(meta, header, [record])
+    return Report(header, [record])
 
 
-def _render(report: Report, fmt: OutputFormat) -> str:
-    if fmt.kind == "json":
-        doc = {"meta": report.meta, "data": report.records}
+def _render(meta: dict, report: Report, kind: str) -> str:
+    if kind == "json":
+        doc = {"meta": meta, "data": report.records}
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -265,11 +237,11 @@ def _render(report: Report, fmt: OutputFormat) -> str:
     return buffer.getvalue()
 
 
-def _emit(text: str, fmt: OutputFormat) -> None:
-    if fmt.destination is None:
+def _emit(text: str, path: str | None) -> None:
+    if path is None:
         sys.stdout.write(text)
     else:
-        with open(fmt.destination, "w", encoding="utf-8", newline="") as handle:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
 
 
@@ -309,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("inspections", _cmd_inspections, "exact inspection-count pmf")
     p.add_argument("--k", type=int, required=True, help="number of failures to detect")
-    p.add_argument("--expected", action="store_true",
+    p.add_argument("--expected", action="store_true", default=None,
                    help="report the expected inspection count instead of the table")
 
     p = add("mrl", _cmd_mrl, "mean residual life and mean past for a window")
@@ -338,9 +310,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    fmt = OutputFormat(args.format, args.output)
     try:
-        report = args.handler(args)
+        cfg = SystemConfig(args.n, args.r)
+        if "seed" in vars(args):  # resolved here, so meta records the seed used
+            args.seed = _seed(args.seed)
+        report = args.handler(args, cfg)
     except OrdstatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -348,7 +322,7 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     try:
-        _emit(_render(report, fmt), fmt)
+        _emit(_render(_meta(args), report, args.format), args.output)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

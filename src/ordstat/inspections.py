@@ -20,7 +20,6 @@ floats appear only on explicit conversion.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
@@ -83,27 +82,6 @@ class InspectionPmf:
 
     def as_dict(self) -> dict[int, Fraction]:
         return dict(zip(self.support, self.probs))
-
-    def rows(self) -> list[tuple[int, int, int, str]]:
-        """(m, numerator, denominator, six-place decimal) per support point."""
-        return [
-            (m, p.numerator, p.denominator, f"{float(p):.6f}")
-            for m, p in zip(self.support, self.probs)
-        ]
-
-    def to_csv(self) -> str:
-        lines = ["m,prob_numerator,prob_denominator,prob_decimal"]
-        lines += [f"{m},{num},{den},{dec}" for m, num, den, dec in self.rows()]
-        return "\n".join(lines) + "\n"
-
-    def to_json_records(self) -> list[dict]:
-        return [
-            {"m": m, "prob_numerator": num, "prob_denominator": den, "prob_decimal": dec}
-            for m, num, den, dec in self.rows()
-        ]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_records(), sort_keys=True, indent=2) + "\n"
 
 
 def inspection_pmf(cfg: SystemConfig, k: int) -> InspectionPmf:

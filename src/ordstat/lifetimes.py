@@ -39,6 +39,16 @@ def _finish(arr, scalar):
     return float(arr) if scalar else arr
 
 
+# an exponent y >= _SATURATION gives exp(-y) == 0 and -expm1(-y) == 1 in
+# float64, so clipping x where rate*x or (x/scale)**shape reaches it changes
+# no value of F or f and keeps those exponents finite
+_SATURATION = 1000.0
+
+
+def _clip_time(arr, x_max):
+    return np.minimum(np.maximum(arr, 0.0), x_max)
+
+
 def _check_interval(a, b):
     a, b = float(a), float(b)
     if not 0.0 <= a <= b:  # also false for a NaN end
@@ -71,8 +81,6 @@ def _weibull_partial_moment(shape, scale, a, b):
 
 class LifetimeModel(ABC):
     """A nonnegative lifetime law described by its CDF."""
-
-    has_density: bool = True
 
     @abstractmethod
     def cdf(self, x):
@@ -124,16 +132,16 @@ class Exponential(LifetimeModel):
         if not math.isfinite(rate) or rate <= 0.0:
             raise DomainError(f"rate must be a positive finite number, got {rate!r}")
         self.rate = rate
+        self._x_max = _SATURATION / rate
 
     def cdf(self, x):
         arr, scalar = _prepare(x)
-        out = np.where(arr < 0.0, 0.0, -np.expm1(-self.rate * np.maximum(arr, 0.0)))
-        return _finish(out, scalar)
+        return _finish(-np.expm1(-self.rate * _clip_time(arr, self._x_max)), scalar)
 
     def pdf(self, x):
         arr, scalar = _prepare(x)
-        out = np.where(arr < 0.0, 0.0, self.rate * np.exp(-self.rate * np.maximum(arr, 0.0)))
-        return _finish(out, scalar)
+        density = self.rate * np.exp(-self.rate * _clip_time(arr, self._x_max))
+        return _finish(np.where(arr < 0.0, 0.0, density), scalar)
 
     def quantile(self, u):
         arr, scalar = self._check_u(u)
@@ -157,21 +165,23 @@ class Weibull(LifetimeModel):
             raise DomainError(f"scale must be a positive finite number, got {scale!r}")
         self.shape = shape
         self.scale = scale
+        try:
+            self._x_max = scale * _SATURATION ** (1.0 / shape)
+        except OverflowError:  # shape below about 0.01: z**shape is finite for every float z
+            self._x_max = math.inf
 
     def cdf(self, x):
         arr, scalar = _prepare(x)
-        z = np.maximum(arr, 0.0) / self.scale
-        out = np.where(arr < 0.0, 0.0, -np.expm1(-(z**self.shape)))
-        return _finish(out, scalar)
+        z = _clip_time(arr, self._x_max) / self.scale
+        return _finish(-np.expm1(-(z**self.shape)), scalar)
 
     def pdf(self, x):
         arr, scalar = _prepare(x)
-        z = np.maximum(arr, 0.0) / self.scale
+        z = _clip_time(arr, self._x_max) / self.scale
         # z**(shape-1) is legitimately +inf at 0 when shape < 1
         with np.errstate(divide="ignore", invalid="ignore"):
             body = (self.shape / self.scale) * z ** (self.shape - 1.0) * np.exp(-(z**self.shape))
-        out = np.where((arr < 0.0) | np.isinf(arr), 0.0, body)
-        return _finish(out, scalar)
+        return _finish(np.where(arr < 0.0, 0.0, body), scalar)
 
     def quantile(self, u):
         arr, scalar = self._check_u(u)
@@ -224,8 +234,6 @@ class Empirical(LifetimeModel):
     The quantile is the usual order-statistic lookup, so the model is exact
     for CDF-only formulas and for sampling; density evaluations raise.
     """
-
-    has_density = False
 
     def __init__(self, sample):
         arr = np.sort(np.asarray(sample, dtype=float).ravel())

@@ -5,10 +5,13 @@ The Monte-Carlo engine draws lifetimes by inverse-CDF sampling of uniforms
 from numpy's PCG64 generator (``numpy.random.default_rng``).  The generator
 family is part of the reproducibility contract: identical seeds give
 identical estimates, bit for bit, on a given platform.  Replications are
-consumed as one sequential stream in fixed-size batches, so results do not
-depend on batching.  Conditional quantities use rejection sampling and
-report the fraction of raw replications that satisfied the conditioning
-event; standard errors are computed from the accepted count.
+consumed as one sequential stream in batches bounded by element count: at
+most ``_BATCH_ELEMENTS`` = 2**21 lifetimes, that is 2**21 // n
+replications (at least one), so peak memory does not grow with n.  Counts
+do not depend on batching, and the float sums of ``mc_event_mean`` only in
+their rounding.  Conditional quantities use rejection sampling and report
+the fraction of raw replications that satisfied the conditioning event;
+standard errors are computed from the accepted count.
 
 Exact floating-point ties between a lifetime and the r-th order statistic
 would resolve against "failed" (strict comparison).  For continuous models
@@ -47,8 +50,8 @@ __all__ = [
 
 RngSeed = int
 
-# replications per batch; bounds peak memory at a few n-megabyte arrays
-_BATCH = 1 << 17
+# lifetimes per batch: each (batch, n) float64 array stays within 16 MiB
+_BATCH_ELEMENTS = 1 << 21
 
 # predicate over (samples, row-wise order statistics), both (batch, n) arrays
 EventFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -90,9 +93,10 @@ def order_stat_in_window(cfg: SystemConfig, window: Window) -> EventFn:
 
 def _iter_batches(model: LifetimeModel, n: int, m_reps: int, seed: int):
     rng = np.random.default_rng(seed)
+    rows = max(1, _BATCH_ELEMENTS // n)
     left = m_reps
     while left > 0:
-        count = min(left, _BATCH)
+        count = min(left, rows)
         samples = model.sample(rng, (count, n))
         yield samples, np.sort(samples, axis=1)
         left -= count
@@ -209,10 +213,11 @@ def exhaustive_inspection_pmf(cfg: SystemConfig, k: int) -> InspectionPmf:
     For continuous lifetimes the r - 1 components that fail before the
     system sit at one of C(n, r - 1) equally likely sets of positions, and
     the k-th failure turns up at the set's k-th smallest position.  Limited
-    to n <= 10; this is the brute-force check for the closed form.
+    to n <= 20 (at most C(20, 10) = 184,756 sets); this is the brute-force
+    check for the closed form.
     """
-    if cfg.n > 10:
-        raise EnumerationSizeError(f"exhaustive enumeration is limited to n <= 10, got n={cfg.n}")
+    if cfg.n > 20:
+        raise EnumerationSizeError(f"exhaustive enumeration is limited to n <= 20, got n={cfg.n}")
     cfg.validate_k(k)
     k = int(k)
     counts = dict.fromkeys(cfg.detection_support(k), 0)

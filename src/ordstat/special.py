@@ -15,31 +15,13 @@ underflows tails as small as 1e-209 to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isnan
 
 from scipy.special import betainc
 
 from .errors import DomainError
 
-__all__ = ["BetaParams", "binom_tail", "reg_inc_beta"]
-
-
-@dataclass(frozen=True)
-class BetaParams:
-    """Integer shapes (a, b) and evaluation point p of I_p(a, b)."""
-
-    a: int
-    b: int
-    p: float
-
-    def __post_init__(self):
-        if int(self.a) != self.a or self.a < 1:
-            raise DomainError(f"shape a must be an integer >= 1, got {self.a!r}")
-        if int(self.b) != self.b or self.b < 1:
-            raise DomainError(f"shape b must be an integer >= 1, got {self.b!r}")
-        if isnan(self.p) or not 0.0 <= self.p <= 1.0:
-            raise DomainError(f"p must lie in [0, 1], got {self.p!r}")
+__all__ = ["binom_tail", "reg_inc_beta"]
 
 
 def binom_tail(n_trials: int, lo: int, p: float) -> float:
@@ -70,5 +52,8 @@ def reg_inc_beta(a: int, b: int, p: float) -> float:
     Evaluated through the identity I_p(a, b) = binom_tail(a + b - 1, a, p).
     I_0 = 0, I_1 = 1, and the value is nondecreasing in p.
     """
-    params = BetaParams(a, b, p)
-    return binom_tail(params.a + params.b - 1, params.a, params.p)
+    if int(a) != a or a < 1:
+        raise DomainError(f"shape a must be an integer >= 1, got {a!r}")
+    if int(b) != b or b < 1:
+        raise DomainError(f"shape b must be an integer >= 1, got {b!r}")
+    return binom_tail(a + b - 1, a, p)

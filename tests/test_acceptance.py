@@ -95,7 +95,7 @@ def test_c03_permutation_oracle_equivalence():
                     ok = False
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
-    check(3, f"{cases} (n,r,k) cases match the n! enumeration exactly in {elapsed:.1f}s", ok)
+    check(3, f"{cases} (n,r,k) cases match the C(n, r-1) enumeration exactly in {elapsed:.1f}s", ok)
 
 
 def test_c04_distribution_freeness():

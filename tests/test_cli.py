@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ordstat import (
+    __version__,
     Exponential,
     SystemConfig,
     Window,
@@ -26,7 +27,46 @@ def test_inspections_table_matches_reference_rows(capsys):
     lines = out.splitlines()
     assert lines[0] == "m,prob_numerator,prob_denominator,prob_decimal"
     assert lines[1] == "3,1,55,0.018182"
+    assert lines[-1] == "11,1,11,0.090909"
     assert len(lines) == 10
+
+
+def test_inspections_json_carries_exact_fractions(capsys):
+    code, out, _ = run_cli(
+        capsys, "inspections", "--n", "12", "--r", "7", "--k", "2", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["data"][0] == {
+        "m": 2, "prob_numerator": 5, "prob_denominator": 22, "prob_decimal": "0.227273",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv,seed,inputs",
+    [
+        (["inspections", "--n", "12", "--r", "7", "--k", "2", "--expected"], None,
+         {"n": 12, "r": 7, "k": 2, "expected": True}),
+        (["inspections", "--n", "12", "--r", "7", "--k", "2"], None, {"n": 12, "r": 7, "k": 2}),
+        (["joint-cdf", "--n", "4", "--r", "2", "--model", "exp:1", "--t-grid", "1:2:1",
+          "--x-grid", "0:1:0.5"], None,
+         {"n": 4, "r": 2, "model": "exp:1", "t_grid": "1:2:1", "x_grid": "0:1:0.5"}),
+        (["cond-cdf", "--n", "4", "--r", "2", "--model", "exp:1", "--t1", "0.5", "--t2", "1"],
+         None, {"n": 4, "r": 2, "model": "exp:1", "t1": 0.5, "t2": 1.0}),
+        (["mrl", "--n", "10", "--r", "4", "--model", "exp:1", "--t1", "1", "--t2", "2"], None,
+         {"n": 10, "r": 4, "model": "exp:1", "t1": 1.0, "t2": 2.0}),
+        (["simulate", "--target", "event", "--n", "5", "--r", "2", "--model", "exp:1",
+          "--x", "1", "--t", "1", "--seed", "13"], 13,
+         {"n": 5, "r": 2, "model": "exp:1", "target": "event", "x": 1.0, "t": 1.0,
+          "reps": 100_000}),
+    ],
+    ids=["expected", "inspections", "joint-cdf", "cond-cdf", "mrl", "simulate"],
+)
+def test_json_meta_holds_exactly_the_given_inputs(capsys, tmp_path, argv, seed, inputs):
+    path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, *argv, "--format", "json", "--output", str(path))
+    assert code == 0
+    meta = json.loads(path.read_text())["meta"]
+    assert meta == {"command": argv[0], "version": __version__, "seed": seed, **inputs}
 
 
 def test_expected_inspections_report(capsys):
@@ -213,6 +253,16 @@ def test_large_system_exits_zero(capsys):
     for argv in [
         ["mrl", "--n", "2000", "--r", "1000", "--model", "exp:1", "--t1", "0.69", "--t2", "0.7"],
         ["joint-cdf", "--n", "2000", "--r", "1000", "--model", "exp:1", "--t", "0.7"],
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+
+
+def test_overflowing_weibull_exponent_prints_no_warning(capsys):
+    for argv in [
+        ["cond-cdf", "--n", "5", "--r", "2", "--model", "weibull:3,1", "--t", "1e200",
+         "--x-grid", "0:1:1"],
+        ["mrl", "--n", "5", "--r", "2", "--model", "weibull:3,1", "--t1", "1", "--t2", "1e200"],
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert code == 0 and err == ""

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 from fractions import Fraction
 from math import factorial
@@ -12,6 +14,7 @@ from ordstat import (
     inspection_pmf,
     lambda_coeff,
 )
+from ordstat.cli import main
 
 TABLE_LEFT = {
     3: Fraction(1, 55),
@@ -145,19 +148,14 @@ def test_pmf_validation_rejects_inconsistent_inputs():
         InspectionPmf(cfg, 2, good.support, broken)
 
 
-def test_csv_emission_format():
-    text = inspection_pmf(SystemConfig(12, 5), 3).to_csv()
-    lines = text.splitlines()
-    assert lines[0] == "m,prob_numerator,prob_denominator,prob_decimal"
-    assert lines[1] == "3,1,55,0.018182"
-    assert lines[-1] == "11,1,11,0.090909"
-
-
-def test_json_emission_format():
-    records = inspection_pmf(SystemConfig(12, 7), 2).to_json_records()
-    assert records[0] == {
-        "m": 2,
-        "prob_numerator": 5,
-        "prob_denominator": 22,
-        "prob_decimal": "0.227273",
-    }
+def test_csv_emission_format(capsys):
+    pmf = inspection_pmf(SystemConfig(12, 5), 3)
+    assert main(["inspections", "--n", "12", "--r", "5", "--k", "3"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["m", "prob_numerator", "prob_denominator", "prob_decimal"]
+    assert rows[1] == ["3", "1", "55", "0.018182"]
+    assert rows[-1] == ["11", "1", "11", "0.090909"]
+    emitted = {int(m): Fraction(int(num), int(den)) for m, num, den, _ in rows[1:]}
+    assert emitted == pmf.as_dict()
+    for _, num, den, dec in rows[1:]:
+        assert dec == f"{int(num) / int(den):.6f}"

@@ -16,6 +16,7 @@ from ordstat import (
     mc_event_mean,
     mc_event_prob,
     mc_inspection_pmf,
+    oracle,
 )
 from ordstat.oracle import (
     first_observation_leq,
@@ -35,6 +36,30 @@ def test_estimates_are_deterministic_given_seed():
     assert a == b
     c = mc_event_prob(cfg, EXP, event, 50_000, seed=124)
     assert a.estimate != c.estimate
+
+
+@pytest.mark.parametrize("budget,n", [(None, 3000), (1000, 1), (1000, 12), (1000, 3000)])
+def test_batches_hold_at_most_the_element_budget(monkeypatch, budget, n):
+    if budget is not None:
+        monkeypatch.setattr(oracle, "_BATCH_ELEMENTS", budget)
+    budget = oracle._BATCH_ELEMENTS
+    rows = [samples.shape[0] for samples, _ in oracle._iter_batches(EXP, n, 2500, seed=1)]
+    assert sum(rows) == 2500
+    # a batch is one replication when n alone passes the budget
+    assert all(count * n <= budget or count == 1 for count in rows)
+
+
+def test_estimates_do_not_depend_on_batching(monkeypatch):
+    cfg = SystemConfig(12, 5)
+    event, given = first_observation_leq(1.0), order_stat_in_window(cfg, Window(0.3, 0.8))
+
+    def estimates():
+        return (mc_inspection_pmf(cfg, EXP, 3, 30_000, seed=8),
+                mc_event_prob(cfg, EXP, event, 30_000, seed=8, given=given))
+
+    one_batch = estimates()
+    monkeypatch.setattr(oracle, "_BATCH_ELEMENTS", 1000)
+    assert estimates() == one_batch
 
 
 def test_sure_event_has_zero_error():
@@ -104,7 +129,9 @@ def test_observation_event_builder_uses_one_based_index():
     assert abs(est1.estimate - EXP.cdf(1.0)) <= 4.0 * est1.std_error
 
 
-@pytest.mark.parametrize("n,r,k", [(5, 2, 1), (6, 4, 2), (7, 5, 3), (8, 3, 2)])
+@pytest.mark.parametrize(
+    "n,r,k", [(5, 2, 1), (6, 4, 2), (7, 5, 3), (8, 3, 2), (20, 11, 5), (20, 10, 9)]
+)
 def test_exhaustive_matches_closed_form(n, r, k):
     cfg = SystemConfig(n, r)
     assert exhaustive_inspection_pmf(cfg, k).as_dict() == inspection_pmf(cfg, k).as_dict()
@@ -124,7 +151,7 @@ def test_exhaustive_reference_value():
 
 def test_exhaustive_rejects_large_samples():
     with pytest.raises(EnumerationSizeError):
-        exhaustive_inspection_pmf(SystemConfig(12, 5), 3)
+        exhaustive_inspection_pmf(SystemConfig(21, 5), 3)
 
 
 def test_simulated_pmf_matches_exact_for_both_models():
