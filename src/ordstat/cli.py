@@ -126,7 +126,8 @@ def _meta(args) -> dict:
 
 
 def _grid_records(grid, **extra) -> list[dict]:
-    return [{**extra, "x": x, "value": _dec(v)} for x, v in zip(grid.points, grid.values)]
+    return [{**extra, "x": x, "value": _dec(v)}
+            for x, v in zip(grid.points.tolist(), grid.values.tolist())]
 
 
 def _cmd_joint(args, cfg: SystemConfig) -> Report:

@@ -28,15 +28,11 @@ from .errors import DomainError
 from .system import SystemConfig
 
 __all__ = [
-    "Rational",
     "InspectionPmf",
     "lambda_coeff",
     "inspection_pmf",
     "expected_inspections",
 ]
-
-# exact rational value type for all distribution-free probabilities
-Rational = Fraction
 
 
 def lambda_coeff(cfg: SystemConfig, j: int) -> Fraction:

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import xlog1py, xlogy
 
 from .errors import DomainError, NullConditioningError
-from .lifetimes import LifetimeModel
+from .lifetimes import LifetimeModel, _finish
 from .special import binom_tail
 from .system import SystemConfig, Window
 
@@ -49,8 +49,6 @@ __all__ = [
 
 # conditioning events with probability below this are treated as null
 NULL_EVENT_FLOOR = 1e-300
-
-LAWS = ("joint", "given_leq", "between", "given_eq")
 
 
 def _check_time(value, name: str = "time") -> float:
@@ -76,26 +74,36 @@ def _check_event(prob: float, description: str) -> None:
 
 
 def _clip01(value):
-    """value clipped to [0, 1]: a float for a scalar, else an array."""
-    out = np.clip(value, 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
+    """value clipped to [0, 1], under the scalar/array rule of lifetimes._finish."""
+    return _finish(np.clip(value, 0.0, 1.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalGrid:
-    """An increasing grid of times with the law's values at each point."""
+    """An increasing grid of times with the law's values at each point.
 
-    points: tuple
-    values: tuple
+    ``points`` and ``values`` are read-only float64 arrays that the grid owns:
+    the constructor copies what it is given.  Arrays have no single truth
+    value, so grids compare by identity.
+    """
+
+    points: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.points) != len(self.values) or not self.points:
+        for name in ("points", "values"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        points, values = self.points, self.values
+        if points.ndim != 1 or points.shape != values.shape or not points.size:
             raise DomainError("grid needs matching, nonempty points and values")
-        if any(b <= a for a, b in zip(self.points, self.points[1:])):
+        if np.any(points[1:] <= points[:-1]):
             raise DomainError("grid points must be strictly increasing")
-        if any(not 0.0 <= v <= 1.0 for v in self.values):
+        # written so that a NaN value fails
+        if not np.all((values >= 0.0) & (values <= 1.0)):
             raise DomainError("grid values must lie in [0, 1]")
-        if any(b - a < -1e-9 for a, b in zip(self.values, self.values[1:])):
+        if np.any(np.diff(values) < -1e-9):
             raise DomainError("CDF grid values must be nondecreasing")
 
 
@@ -305,6 +313,16 @@ def pair_cond_joint_cdf(
     raise DomainError(f"unknown conditioning {conditioning!r}; expected max_leq, min_leq or min_gt")
 
 
+# law name -> the x-law that eval_grid evaluates
+_GRID_LAWS = {
+    "joint": joint_cdf_single,
+    "given_leq": cond_cdf_given_leq,
+    "between": cond_cdf_between,
+    "given_eq": cond_cdf_given_eq,
+}
+LAWS = tuple(_GRID_LAWS)
+
+
 def eval_grid(
     cfg: SystemConfig,
     model: LifetimeModel,
@@ -319,21 +337,11 @@ def eval_grid(
     ``law`` is one of ``"joint"``, ``"given_leq"``, ``"given_eq"`` (all of
     which need ``t``) or ``"between"`` (which needs ``window``).
     """
-    points = np.asarray(xs, dtype=float)
-    if law in ("joint", "given_leq", "given_eq"):
-        if t is None:
-            raise DomainError(f"law {law!r} needs a threshold t")
-        fns = {
-            "joint": joint_cdf_single,
-            "given_leq": cond_cdf_given_leq,
-            "given_eq": cond_cdf_given_eq,
-        }
-        fn = fns[law]
-        values = fn(cfg, model, points, t)
-    elif law == "between":
-        if window is None:
-            raise DomainError("law 'between' needs a window")
-        values = cond_cdf_between(cfg, model, points, window)
-    else:
+    if law not in _GRID_LAWS:
         raise DomainError(f"unknown law {law!r}; expected one of {LAWS}")
-    return EvalGrid(tuple(points.tolist()), tuple(values.tolist()))
+    between = law == "between"
+    arg = window if between else t
+    if arg is None:
+        raise DomainError(f"law {law!r} needs {'a window' if between else 'a threshold t'}")
+    points = np.asarray(xs, dtype=float)
+    return EvalGrid(points, _GRID_LAWS[law](cfg, model, points, arg))

@@ -6,8 +6,13 @@ model wraps a fixed sample as a right-continuous step CDF; it is valid
 wherever only the CDF or sampling is needed and refuses density evaluations
 and partial moments.
 
-``cdf``, ``pdf`` and ``quantile`` accept floats or numpy arrays and
-broadcast elementwise; scalar input yields a plain float.
+``cdf``, ``pdf`` and ``quantile`` accept floats or numpy arrays and work
+elementwise.  Every elementwise result in the package follows one rule,
+``_finish``: a 0-d result is returned as a plain float and anything else as
+the array, so a scalar in gives a float out.
+
+Weibull shapes must be at least 0.01; below that the quantile overflows to
+inf for ordinary probabilities.
 """
 
 from __future__ import annotations
@@ -30,19 +35,19 @@ __all__ = [
 ]
 
 
-def _prepare(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _finish(arr, scalar):
-    return float(arr) if scalar else arr
+def _finish(value):
+    """The scalar/array rule: a float for a 0-d result, else the array."""
+    # the attribute, not np.ndim(value), which costs a call on every scalar
+    return float(value) if value.ndim == 0 else value
 
 
 # an exponent y >= _SATURATION gives exp(-y) == 0 and -expm1(-y) == 1 in
 # float64, so clipping x where rate*x or (x/scale)**shape reaches it changes
 # no value of F or f and keeps those exponents finite
 _SATURATION = 1000.0
+
+# smallest Weibull shape; _SATURATION ** (1 / _MIN_SHAPE) = 1e300 is finite
+_MIN_SHAPE = 0.01
 
 
 def _clip_time(arr, x_max):
@@ -113,15 +118,11 @@ class LifetimeModel(ABC):
         """
         raise DensityUnsupportedError(f"{type(self).__name__} does not expose a density")
 
-    def support_upper(self, mass: float) -> float:
-        """A finite cutoff U with 1 - F(U) <= mass."""
-        return float(self.quantile(1.0 - mass))
-
     def _check_u(self, u):
-        arr, scalar = _prepare(u)
+        arr = np.asarray(u, dtype=float)
         if not np.all((arr > 0.0) & (arr < 1.0)):
             raise DomainError("probability argument must lie strictly inside (0, 1)")
-        return arr, scalar
+        return arr
 
 
 class Exponential(LifetimeModel):
@@ -135,17 +136,16 @@ class Exponential(LifetimeModel):
         self._x_max = _SATURATION / rate
 
     def cdf(self, x):
-        arr, scalar = _prepare(x)
-        return _finish(-np.expm1(-self.rate * _clip_time(arr, self._x_max)), scalar)
+        arr = np.asarray(x, dtype=float)
+        return _finish(-np.expm1(-self.rate * _clip_time(arr, self._x_max)))
 
     def pdf(self, x):
-        arr, scalar = _prepare(x)
+        arr = np.asarray(x, dtype=float)
         density = self.rate * np.exp(-self.rate * _clip_time(arr, self._x_max))
-        return _finish(np.where(arr < 0.0, 0.0, density), scalar)
+        return _finish(np.where(arr < 0.0, 0.0, density))
 
     def quantile(self, u):
-        arr, scalar = self._check_u(u)
-        return _finish(-np.log1p(-arr) / self.rate, scalar)
+        return _finish(-np.log1p(-self._check_u(u)) / self.rate)
 
     def partial_moment(self, a: float, b: float) -> float:
         return _weibull_partial_moment(1.0, 1.0 / self.rate, a, b)
@@ -159,33 +159,30 @@ class Weibull(LifetimeModel):
 
     def __init__(self, shape: float, scale: float):
         shape, scale = float(shape), float(scale)
-        if not math.isfinite(shape) or shape <= 0.0:
-            raise DomainError(f"shape must be a positive finite number, got {shape!r}")
+        if not math.isfinite(shape) or shape < _MIN_SHAPE:
+            raise DomainError(f"shape must be a finite number >= {_MIN_SHAPE}, got {shape!r}")
         if not math.isfinite(scale) or scale <= 0.0:
             raise DomainError(f"scale must be a positive finite number, got {scale!r}")
         self.shape = shape
         self.scale = scale
-        try:
-            self._x_max = scale * _SATURATION ** (1.0 / shape)
-        except OverflowError:  # shape below about 0.01: z**shape is finite for every float z
-            self._x_max = math.inf
+        self._x_max = scale * _SATURATION ** (1.0 / shape)
 
     def cdf(self, x):
-        arr, scalar = _prepare(x)
+        arr = np.asarray(x, dtype=float)
         z = _clip_time(arr, self._x_max) / self.scale
-        return _finish(-np.expm1(-(z**self.shape)), scalar)
+        return _finish(-np.expm1(-(z**self.shape)))
 
     def pdf(self, x):
-        arr, scalar = _prepare(x)
+        arr = np.asarray(x, dtype=float)
         z = _clip_time(arr, self._x_max) / self.scale
-        # z**(shape-1) is legitimately +inf at 0 when shape < 1
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # for shape < 1, z**(shape-1) is legitimately +inf at 0 and may
+        # overflow to +inf just above it, where the density exceeds every float
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             body = (self.shape / self.scale) * z ** (self.shape - 1.0) * np.exp(-(z**self.shape))
-        return _finish(np.where(arr < 0.0, 0.0, body), scalar)
+        return _finish(np.where(arr < 0.0, 0.0, body))
 
     def quantile(self, u):
-        arr, scalar = self._check_u(u)
-        return _finish(self.scale * (-np.log1p(-arr)) ** (1.0 / self.shape), scalar)
+        return _finish(self.scale * (-np.log1p(-self._check_u(u))) ** (1.0 / self.shape))
 
     def partial_moment(self, a: float, b: float) -> float:
         return _weibull_partial_moment(self.shape, self.scale, a, b)
@@ -207,17 +204,16 @@ class Uniform(LifetimeModel):
         self.hi = hi
 
     def cdf(self, x):
-        arr, scalar = _prepare(x)
-        return _finish(np.clip((arr - self.lo) / (self.hi - self.lo), 0.0, 1.0), scalar)
+        arr = np.asarray(x, dtype=float)
+        return _finish(np.clip((arr - self.lo) / (self.hi - self.lo), 0.0, 1.0))
 
     def pdf(self, x):
-        arr, scalar = _prepare(x)
+        arr = np.asarray(x, dtype=float)
         inside = (arr >= self.lo) & (arr <= self.hi)
-        return _finish(np.where(inside, 1.0 / (self.hi - self.lo), 0.0), scalar)
+        return _finish(np.where(inside, 1.0 / (self.hi - self.lo), 0.0))
 
     def quantile(self, u):
-        arr, scalar = self._check_u(u)
-        return _finish(self.lo + arr * (self.hi - self.lo), scalar)
+        return _finish(self.lo + self._check_u(u) * (self.hi - self.lo))
 
     def partial_moment(self, a: float, b: float) -> float:
         a, b = _check_interval(a, b)
@@ -244,15 +240,13 @@ class Empirical(LifetimeModel):
         self.sample = arr
 
     def cdf(self, x):
-        arr, scalar = _prepare(x)
-        out = np.searchsorted(self.sample, arr, side="right") / self.sample.size
-        return _finish(np.asarray(out, dtype=float), scalar)
+        arr = np.asarray(x, dtype=float)
+        return _finish(np.searchsorted(self.sample, arr, side="right") / self.sample.size)
 
     def quantile(self, u):
-        arr, scalar = self._check_u(u)
         m = self.sample.size
-        idx = np.clip(np.ceil(arr * m).astype(int) - 1, 0, m - 1)
-        return _finish(self.sample[idx], scalar)
+        idx = np.clip(np.ceil(self._check_u(u) * m).astype(int) - 1, 0, m - 1)
+        return _finish(self.sample[idx])
 
     def __repr__(self):
         return f"Empirical(size={self.sample.size})"

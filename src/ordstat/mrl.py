@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .joint import _check_times, window_slopes
-from .lifetimes import LifetimeModel
+from .lifetimes import LifetimeModel, _finish
 from .system import SystemConfig, Window
 
 __all__ = [
@@ -82,8 +82,7 @@ def cond_pdf_between(cfg: SystemConfig, model: LifetimeModel, x, window: Window)
     """
     x = _check_times(x, "x")
     low, mid, high = window_slopes(cfg, model, window)
-    value = np.select([x < window.t1, x <= window.t2], [low, mid], high) * model.pdf(x)
-    return float(value) if np.ndim(value) == 0 else value
+    return _finish(np.select([x < window.t1, x <= window.t2], [low, mid], high) * model.pdf(x))
 
 
 def _partial_expectation(cfg, model, window):

@@ -36,7 +36,6 @@ from .lifetimes import LifetimeModel
 from .system import SystemConfig, Window
 
 __all__ = [
-    "RngSeed",
     "McEstimate",
     "mc_event_prob",
     "mc_event_mean",
@@ -47,8 +46,6 @@ __all__ = [
     "order_stat_leq",
     "order_stat_in_window",
 ]
-
-RngSeed = int
 
 # lifetimes per batch: each (batch, n) float64 array stays within 16 MiB
 _BATCH_ELEMENTS = 1 << 21
@@ -113,7 +110,7 @@ def mc_event_prob(
     model: LifetimeModel,
     event: EventFn,
     m_reps: int,
-    seed: RngSeed,
+    seed: int,
     *,
     given: EventFn | None = None,
 ) -> McEstimate:
@@ -147,7 +144,7 @@ def mc_event_mean(
     model: LifetimeModel,
     statistic: EventFn,
     m_reps: int,
-    seed: RngSeed,
+    seed: int,
     *,
     given: EventFn | None = None,
 ) -> McEstimate:
@@ -179,7 +176,7 @@ def mc_inspection_pmf(
     model: LifetimeModel,
     k: int,
     m_reps: int,
-    seed: RngSeed,
+    seed: int,
 ) -> dict[int, McEstimate]:
     """Empirical pmf of the inspection count from seeded simulation.
 

@@ -28,11 +28,6 @@ class SystemConfig:
         if int(self.r) != self.r or not 1 <= self.r <= self.n:
             raise DomainError(f"r must satisfy 1 <= r <= n, got r={self.r!r} with n={self.n}")
 
-    @property
-    def k_max(self) -> int:
-        """Largest number of detectable failed components, r - 1."""
-        return self.r - 1
-
     def validate_k(self, k: int) -> None:
         """Check 1 <= k < r for a detection target k."""
         if int(k) != k or not 1 <= k <= self.r - 1:

@@ -141,7 +141,7 @@ def test_c06_difference_identity():
         u2 = rng.uniform(u1 + 0.05, 0.95)
         w = Window(model.quantile(u1), model.quantile(u2))
         wp = window_prob(cfg, model, w)
-        hi = model.support_upper(1e-6)
+        hi = model.quantile(1.0 - 1e-6)
         for i in range(50):
             x = i * hi / 49
             lhs = cond_cdf_between(cfg, model, x, w) * wp
@@ -169,7 +169,7 @@ def test_c08_special_case_collapse():
     worst = 0.0
     for model in model_triplet():
         t = model.quantile(0.55)
-        hi = model.support_upper(1e-6)
+        hi = model.quantile(1.0 - 1e-6)
         xs = [i * hi / 40 for i in range(41)]
         for n in [2, 5, 11]:
             for x in xs:
@@ -293,7 +293,7 @@ def test_c12_density_normalization_randomized():
         if window_prob(cfg, model, w) < 1e-6:
             continue
         cases += 1
-        upper = model.support_upper(1e-13)
+        upper = model.quantile(1.0 - 1e-13)
         total = 0.0
         for lo, hi in [(0.0, w.t1), (w.t1, w.t2), (w.t2, upper)]:
             value, _ = integrate.quad(

@@ -268,6 +268,22 @@ def test_overflowing_weibull_exponent_prints_no_warning(capsys):
         assert code == 0 and err == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cond-cdf", "--model", "weibull:0.001,1", "--t", "1"],
+        ["simulate", "--target", "event", "--model", "weibull:0.001,1", "--x", "1", "--t", "1",
+         "--reps", "1000", "--seed", "1"],
+    ],
+    ids=["cond-cdf", "simulate"],
+)
+def test_too_small_weibull_shape_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], "--n", "5", "--r", "2", *argv[1:])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Warning" not in err
+    assert "shape must be a finite number >= 0.01" in err
+
+
 def test_unknown_flag_exits_two(capsys):
     code, _, _ = run_cli(capsys, "inspections", "--n", "12", "--r", "5", "--k", "3", "--bogus")
     assert code == 2

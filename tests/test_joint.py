@@ -33,7 +33,7 @@ EXP = Exponential(1.0)
 
 
 def grid_for(model, count=40):
-    hi = model.support_upper(1e-6)
+    hi = model.quantile(1.0 - 1e-6)
     return [i * hi / count for i in range(count + 1)]
 
 
@@ -232,7 +232,7 @@ def test_window_law_difference_identity_randomized():
         u2 = rng.uniform(u1 + 0.05, 0.95)
         w = Window(model.quantile(u1), model.quantile(u2))
         wp = window_prob(cfg, model, w)
-        hi = model.support_upper(1e-6)
+        hi = model.quantile(1.0 - 1e-6)
         for i in range(51):
             x = i * hi / 50
             lhs = cond_cdf_between(cfg, model, x, w) * wp
@@ -462,7 +462,7 @@ def test_cdf_axioms_for_conditional_laws(model, n):
             values = [law(x) for x in xs]
             assert all(0.0 <= v <= 1.0 for v in values)
             assert all(b - a >= -1e-12 for a, b in zip(values, values[1:]))
-            assert law(model.support_upper(1e-14)) == pytest.approx(1.0, abs=1e-9)
+            assert law(model.quantile(1.0 - 1e-14)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_order_stat_cdf_extremes():
@@ -475,12 +475,20 @@ def test_eval_grid_dispatch_and_validation():
     cfg = SystemConfig(6, 3)
     xs = [0.0, 0.5, 1.0, 2.0]
     grid = eval_grid(cfg, EXP, xs, "given_leq", t=1.0)
-    assert grid.points == tuple(xs)
-    assert grid.values == tuple(cond_cdf_given_leq(cfg, EXP, x, 1.0) for x in xs)
-    grid = eval_grid(cfg, EXP, xs, "between", window=Window(0.5, 1.5))
+    assert grid.points.tolist() == xs
+    assert grid.values.tolist() == [cond_cdf_given_leq(cfg, EXP, x, 1.0) for x in xs]
+    window = Window(0.5, 1.5)
+    grid = eval_grid(cfg, EXP, np.array(xs), "between", window=window)
     assert len(grid.values) == 4
+    for arr, want in [(grid.points, xs), (grid.values, cond_cdf_between(cfg, EXP, xs, window))]:
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+        np.testing.assert_array_equal(arr, want)
+        with pytest.raises(ValueError):
+            arr[0] = 0.25  # the grid owns read-only arrays
     with pytest.raises(DomainError):
         eval_grid(cfg, EXP, xs, "given_leq")  # missing t
+    with pytest.raises(DomainError):
+        eval_grid(cfg, EXP, xs, "between")  # missing window
     with pytest.raises(DomainError):
         eval_grid(cfg, EXP, xs, "nonsense", t=1.0)
     with pytest.raises(DomainError):
@@ -489,6 +497,8 @@ def test_eval_grid_dispatch_and_validation():
         EvalGrid((0.0, 1.0), (0.5, 0.2))  # decreasing values
     with pytest.raises(DomainError):
         EvalGrid((0.0, 1.0), (0.5, 1.2))  # outside [0, 1]
+    with pytest.raises(DomainError):
+        EvalGrid((0.0, 1.0), (0.5, math.nan))  # NaN is not in [0, 1]
 
 
 # --- array evaluation of the x-laws ------------------------------------------

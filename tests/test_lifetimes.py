@@ -55,6 +55,22 @@ def test_overflowing_exponent_saturates_without_warning(model, x):
     assert model.pdf(np.array([x, math.inf])).tolist() == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_smallest_weibull_shape_evaluates_without_warning(scale):
+    # warnings are errors here
+    m = Weibull(0.01, scale)
+    xs = np.array([0.0, 5e-324, 1e-300, 1.0, 1e300, 1.7e308, math.inf])
+    cdf = m.cdf(xs)
+    assert np.all((cdf >= 0.0) & (cdf <= 1.0)) and np.all(np.diff(cdf) >= 0.0)
+    assert np.all(m.pdf(xs) >= 0.0)
+    assert [m.cdf(x) for x in xs.tolist()] == cdf.tolist()
+
+
+def test_weibull_density_overflows_to_inf_without_warning():
+    # the density of Weibull(0.01, 1) at 5e-324 is about 1e318
+    assert Weibull(0.01, 1.0).pdf(5e-324) == math.inf
+
+
 def test_exponential_quantile_inverts_cdf_value():
     m = Exponential(1.0)
     assert m.quantile(1.0 - math.exp(-1.0)) == pytest.approx(1.0, abs=1e-12)
@@ -99,9 +115,10 @@ def test_partial_moment_integrates_x_dF(model, mean):
 
 
 def test_partial_moment_rejects_an_overflowing_mean():
-    # the mean Gamma(1 + 1/shape) exceeds the largest float below shape 1/170.6
+    # the mean scale * Gamma(1 + 1/shape) exceeds the largest float; at the
+    # smallest shape, 0.01, that takes a scale above about 1.9e150
     with pytest.raises(DomainError):
-        Weibull(0.005, 1.0).partial_moment(0.0, 1.0)
+        Weibull(0.01, 1e200).partial_moment(0.0, 1.0)
 
 
 def test_empirical_has_no_partial_moment():
@@ -120,7 +137,7 @@ def test_pdf_matches_cdf_slope(model):
 
 @pytest.mark.parametrize("model", model_triplet(), ids=lambda m: type(m).__name__)
 def test_pdf_integrates_to_one(model):
-    upper = model.support_upper(1e-12)
+    upper = model.quantile(1.0 - 1e-12)
     total, _ = integrate.quad(model.pdf, 0.0, upper, limit=200)
     assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -167,6 +184,8 @@ def test_empirical_has_no_density():
         lambda: Exponential(0.0),
         lambda: Exponential(-1.0),
         lambda: Weibull(0.0, 1.0),
+        lambda: Weibull(0.005, 1.0),
+        lambda: Weibull(0.001, 1.0),
         lambda: Weibull(1.0, -2.0),
         lambda: Uniform(-0.5, 1.0),
         lambda: Uniform(1.0, 1.0),

@@ -44,7 +44,7 @@ def integrate_density(cfg, model, window, lo, hi):
     ],
 )
 def test_density_normalizes(cfg, model, window):
-    upper = model.support_upper(1e-13)
+    upper = model.quantile(1.0 - 1e-13)
     total = (
         integrate_density(cfg, model, window, 0.0, window.t1)
         + integrate_density(cfg, model, window, window.t1, window.t2)
@@ -113,7 +113,7 @@ def test_mean_past_bounded_on_bounded_support():
 def test_partial_expectation_decomposition():
     # the weighted region integrals must reproduce direct quadrature of
     # x times the conditional density
-    upper = EXP.support_upper(1e-13)
+    upper = EXP.quantile(1.0 - 1e-13)
     direct = 0.0
     for lo, hi in [(0.0, WINDOW.t1), (WINDOW.t1, WINDOW.t2), (WINDOW.t2, upper)]:
         value, _ = integrate.quad(
