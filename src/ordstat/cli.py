@@ -16,7 +16,7 @@ array.  Exact probabilities carry numerator and denominator fields next to
 a fixed six-place decimal, so tables can be checked without parsing
 decimals.  Grids use the inclusive ``start:stop:step`` syntax with finite
 fields and at most ``MAX_GRID_POINTS`` points; when ``--x-grid`` is omitted
-the grid spans [0, quantile(0.999)].
+the grid spans [0, quantile(0.999)], which must be finite.
 
 Exit codes: 0 success, 2 argument or domain errors (one-line diagnostic on
 stderr naming the violated precondition), 3 I/O failure.  The ORDSTAT_SEED
@@ -114,6 +114,8 @@ def _x_grid(args, model) -> list[float]:
     if args.x_grid:
         return parse_grid(args.x_grid)
     hi = model.quantile(0.999)
+    if not math.isfinite(hi):
+        raise DomainError(f"quantile(0.999) of {model!r} exceeds the largest float; give --x-grid")
     return [i * hi / 200.0 for i in range(201)]
 
 

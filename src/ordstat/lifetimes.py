@@ -11,6 +11,14 @@ elementwise.  Every elementwise result in the package follows one rule,
 ``_finish``: a 0-d result is returned as a plain float and anything else as
 the array, so a scalar in gives a float out.
 
+Each model writes its quantile formula once, as ``_from_uniform(u)``: ``u``
+is a float64 array in (0, 1) that the caller owns, and the method overwrites
+it with the quantiles and returns it (the empirical model returns a lookup
+instead).  ``quantile`` hands it a checked copy of its argument, and
+``sample`` the uniforms it has just drawn, so a batch of lifetimes costs one
+allocation and a scalar gets the same bits as an array element.  A quantile
+beyond the largest float comes out as inf, its correctly rounded value.
+
 Weibull shapes must be at least 0.01; below that the quantile overflows to
 inf for ordinary probabilities.
 """
@@ -92,8 +100,12 @@ class LifetimeModel(ABC):
         """P{X <= x}."""
 
     @abstractmethod
+    def _from_uniform(self, u):
+        """Overwrite ``u``, an owned float64 array in (0, 1), with its quantile."""
+
     def quantile(self, u):
         """Smallest x with F(x) >= u, for u strictly inside (0, 1)."""
+        return _finish(self._transform(np.array(u, dtype=float)))
 
     def pdf(self, x):
         """Density F'(x); models without one raise DensityUnsupportedError."""
@@ -101,12 +113,11 @@ class LifetimeModel(ABC):
 
     def sample(self, rng: np.random.Generator, size):
         """Draw lifetimes by inverse-CDF transformation of uniforms from ``rng``."""
-        u = rng.random(size)
+        u = np.asarray(rng.random(size))  # a float for size None
         # rng.random can return exactly 0.0, which the quantile rejects
-        zero = u == 0.0
-        if np.any(zero):
-            u[zero] = np.nextafter(0.0, 1.0)
-        return self.quantile(u)
+        if not u.all():
+            u[u == 0.0] = np.nextafter(0.0, 1.0)
+        return _finish(self._transform(u))
 
     def partial_moment(self, a: float, b: float) -> float:
         """The integral of x dF(x) over [a, b], for 0 <= a <= b <= inf.
@@ -118,11 +129,12 @@ class LifetimeModel(ABC):
         """
         raise DensityUnsupportedError(f"{type(self).__name__} does not expose a density")
 
-    def _check_u(self, u):
-        arr = np.asarray(u, dtype=float)
-        if not np.all((arr > 0.0) & (arr < 1.0)):
+    def _transform(self, u):
+        """Check the owned float64 array ``u`` and overwrite it with its quantile."""
+        if not np.all((u > 0.0) & (u < 1.0)):
             raise DomainError("probability argument must lie strictly inside (0, 1)")
-        return arr
+        with np.errstate(over="ignore"):
+            return self._from_uniform(u)
 
 
 class Exponential(LifetimeModel):
@@ -144,8 +156,11 @@ class Exponential(LifetimeModel):
         density = self.rate * np.exp(-self.rate * _clip_time(arr, self._x_max))
         return _finish(np.where(arr < 0.0, 0.0, density))
 
-    def quantile(self, u):
-        return _finish(-np.log1p(-self._check_u(u)) / self.rate)
+    def _from_uniform(self, u):
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        u /= -self.rate
+        return u
 
     def partial_moment(self, a: float, b: float) -> float:
         return _weibull_partial_moment(1.0, 1.0 / self.rate, a, b)
@@ -181,8 +196,15 @@ class Weibull(LifetimeModel):
             body = (self.shape / self.scale) * z ** (self.shape - 1.0) * np.exp(-(z**self.shape))
         return _finish(np.where(arr < 0.0, 0.0, body))
 
-    def quantile(self, u):
-        return _finish(self.scale * (-np.log1p(-self._check_u(u))) ** (1.0 / self.shape))
+    def _from_uniform(self, u):
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.negative(u, out=u)
+        # the operator, not np.power(out=), keeps numpy's sqrt and square
+        # paths for the exponents 0.5 and 2
+        u **= 1.0 / self.shape
+        u *= self.scale
+        return u
 
     def partial_moment(self, a: float, b: float) -> float:
         return _weibull_partial_moment(self.shape, self.scale, a, b)
@@ -212,8 +234,10 @@ class Uniform(LifetimeModel):
         inside = (arr >= self.lo) & (arr <= self.hi)
         return _finish(np.where(inside, 1.0 / (self.hi - self.lo), 0.0))
 
-    def quantile(self, u):
-        return _finish(self.lo + self._check_u(u) * (self.hi - self.lo))
+    def _from_uniform(self, u):
+        u *= self.hi - self.lo
+        u += self.lo
+        return u
 
     def partial_moment(self, a: float, b: float) -> float:
         a, b = _check_interval(a, b)
@@ -237,19 +261,19 @@ class Empirical(LifetimeModel):
             raise DomainError("empirical sample must be nonempty")
         if not np.all(np.isfinite(arr)) or arr[0] < 0.0:
             raise DomainError("empirical sample values must be finite and >= 0")
-        self.sample = arr
+        self.values = arr
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
-        return _finish(np.searchsorted(self.sample, arr, side="right") / self.sample.size)
+        return _finish(np.searchsorted(self.values, arr, side="right") / self.values.size)
 
-    def quantile(self, u):
-        m = self.sample.size
-        idx = np.clip(np.ceil(self._check_u(u) * m).astype(int) - 1, 0, m - 1)
-        return _finish(self.sample[idx])
+    def _from_uniform(self, u):
+        m = self.values.size
+        u *= m
+        return self.values[np.clip(np.ceil(u, out=u).astype(int) - 1, 0, m - 1)]
 
     def __repr__(self):
-        return f"Empirical(size={self.sample.size})"
+        return f"Empirical(size={self.values.size})"
 
 
 def parse_model(text: str) -> LifetimeModel:

@@ -191,11 +191,12 @@ def mc_inspection_pmf(
     counts = np.zeros(cfg.n + 2, dtype=np.int64)
     for samples, ordered in _iter_batches(model, cfg.n, m_reps, seed):
         threshold = ordered[:, cfg.r - 1]
-        found = np.cumsum(samples < threshold[:, None], axis=1)
-        hit = np.argmax(found == k, axis=1) + 1
-        # rows that never reach k detections (possible only through exact
-        # float ties) land in bucket 0 and stay off the support
-        hit[found[:, -1] < k] = 0
+        # a count is at most n, and one row of 2**31 lifetimes alone takes 16 GiB
+        found = np.cumsum(samples < threshold[:, None], axis=1, dtype=np.int32)
+        # the k-th detection is at the inspection after the last one with
+        # fewer than k; a row that never reaches k detections (possible only
+        # through exact float ties) lands in bucket n + 1, off the support
+        hit = np.count_nonzero(found < k, axis=1) + 1
         counts += np.bincount(hit, minlength=cfg.n + 2)
     out = {}
     for m in cfg.detection_support(k):

@@ -1,0 +1,98 @@
+"""Bit-for-bit pins of the sampling path.
+
+The Monte-Carlo values below were recorded from the plain-expression
+implementation of the quantiles and of the detection count; each in-place
+rewrite of those paths must reproduce them exactly, not just closely.
+"""
+
+import numpy as np
+import pytest
+
+from ordstat import (
+    Empirical,
+    Exponential,
+    McEstimate,
+    SystemConfig,
+    Uniform,
+    Weibull,
+    Window,
+    mc_event_mean,
+    mc_event_prob,
+    mc_inspection_pmf,
+)
+from ordstat.oracle import first_observation_leq, order_stat_in_window, order_stat_leq
+
+U_EDGES = [5e-324, 1e-300, 0.5, 1.0 - 2.0**-53]
+EMPIRICAL_VALUES = [1.0, 1.0, 2.0, 4.0]
+
+# (model, the quantile as one numpy expression over an array u in (0, 1))
+QUANTILES = [
+    (Exponential(1.3), lambda u: -np.log1p(-u) / 1.3),
+    (Weibull(0.5, 2.0), lambda u: 2.0 * (-np.log1p(-u)) ** (1.0 / 0.5)),
+    (Weibull(2.0, 1.0), lambda u: 1.0 * (-np.log1p(-u)) ** (1.0 / 2.0)),
+    (Weibull(1.5, 2.0), lambda u: 2.0 * (-np.log1p(-u)) ** (1.0 / 1.5)),
+    (Uniform(0.5, 3.0), lambda u: 0.5 + u * (3.0 - 0.5)),
+    (Empirical(EMPIRICAL_VALUES), lambda u: np.array(EMPIRICAL_VALUES)[
+        np.clip(np.ceil(u * 4).astype(int) - 1, 0, 3)]),
+]
+
+
+@pytest.mark.parametrize("model,expression", QUANTILES, ids=[repr(m) for m, _ in QUANTILES])
+def test_quantile_and_sample_match_the_plain_expression(model, expression):
+    u = np.concatenate([U_EDGES, np.random.default_rng(3).random(10_000)])
+    kept = u.copy()
+    assert np.array_equal(model.quantile(u), expression(u))
+    assert np.array_equal(u, kept)  # quantile leaves its argument alone
+    drawn = np.random.default_rng(4).random((50, 40))
+    drawn[drawn == 0.0] = np.nextafter(0.0, 1.0)
+    assert np.array_equal(model.sample(np.random.default_rng(4), (50, 40)), expression(drawn))
+
+
+# cfg (40, 35) at 60,000 replications spans two batches of at most 2**21 lifetimes
+CFG = SystemConfig(40, 35)
+REPS = 60_000
+# counts of inspections 30..36 to find k = 30 failed components; the same
+# under every continuous model, since the quantile is increasing
+PMF_COUNTS = [1, 69, 479, 2704, 9633, 21792, 25322]
+
+# model, (x, t1, t2), McEstimate of P{X_1 <= x | t1 <= X_(35:40) <= t2},
+# McEstimate of E{X_1 | X_(35:40) <= t1}
+EVENT_PINS = [
+    (Exponential(1.3), (0.533, 1.41, 1.771),
+     McEstimate(0.4871481991733911, REPS, 0.003135933853614541, 0.42341666666666666),
+     McEstimate(0.678130428255589, REPS, 0.004499544674377121, 0.3656)),
+    (Weibull(0.5, 2.0), (0.961, 6.717, 10.604),
+     McEstimate(0.48714521581885367, REPS, 0.0031338986332164684, 0.42396666666666666),
+     McEstimate(3.0548393255141475, REPS, 0.04811421540993852, 0.3653166666666667)),
+    (Weibull(2.0, 1.0), (0.833, 1.354, 1.517),
+     McEstimate(0.48762483716891014, REPS, 0.0031404626472366815, 0.4222166666666667),
+     McEstimate(0.83697837299416, REPS, 0.002870965037135148, 0.36601666666666666)),
+    (Uniform(0.5, 3.0), (1.75, 2.6, 2.75),
+     McEstimate(0.4871663849691443, REPS, 0.0031337172637626435, 0.42401666666666665),
+     McEstimate(1.6856711418761403, REPS, 0.0046656919278623265, 0.36528333333333335)),
+]
+
+
+@pytest.mark.parametrize("model,thresholds,prob,mean", EVENT_PINS,
+                         ids=[repr(pin[0]) for pin in EVENT_PINS])
+def test_monte_carlo_estimates_are_pinned(model, thresholds, prob, mean):
+    x, t1, t2 = thresholds
+    pmf = mc_inspection_pmf(CFG, model, 30, REPS, seed=11)
+    assert list(pmf) == list(range(30, 37))
+    assert [est.estimate for est in pmf.values()] == [c / REPS for c in PMF_COUNTS]
+    assert pmf[33] == McEstimate(0.045066666666666665, REPS, 0.0008469126501812551)
+    got = mc_event_prob(CFG, model, first_observation_leq(x), REPS, seed=12,
+                        given=order_stat_in_window(CFG, Window(t1, t2)))
+    assert got == prob
+    got = mc_event_mean(CFG, model, lambda s, o: s[:, 0], REPS, seed=13,
+                        given=order_stat_leq(CFG, t1))
+    assert got == mean
+
+
+def test_tied_lifetimes_leave_every_row_off_the_support():
+    # with one value every lifetime ties the threshold, so no component
+    # counts as failed and no row finds k of them
+    cfg = SystemConfig(6, 4)
+    estimates = mc_inspection_pmf(cfg, Empirical([1.0]), 2, 1000, seed=1)
+    assert list(estimates) == list(cfg.detection_support(2))
+    assert all(est.estimate == 0.0 for est in estimates.values())

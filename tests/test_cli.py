@@ -284,6 +284,27 @@ def test_too_small_weibull_shape_exits_two(capsys, argv):
     assert "shape must be a finite number >= 0.01" in err
 
 
+@pytest.mark.parametrize(
+    "model,t", [("weibull:0.02,1e300", "1e300"), ("exp:1e-308", "1")], ids=["weibull", "exp"],
+)
+def test_default_grid_beyond_the_largest_float_exits_two(capsys, model, t):
+    # warnings are errors here
+    code, out, err = run_cli(capsys, "cond-cdf", "--n", "5", "--r", "2", "--model", model, "--t", t)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Warning" not in err and "--x-grid" in err
+
+
+def test_simulate_takes_an_empirical_model(capsys, tmp_path):
+    path = tmp_path / "values.csv"
+    path.write_text("".join(f"{v}\n" for v in range(1, 1001)))
+    code, out, err = run_cli(
+        capsys, "simulate", "--target", "inspections", "--n", "6", "--r", "4", "--k", "2",
+        "--model", f"empirical:@{path}", "--reps", "1000", "--seed", "1",
+    )
+    assert code == 0 and err == ""
+    assert [line.split(",")[0] for line in out.splitlines()] == ["m", "2", "3", "4", "5"]
+
+
 def test_unknown_flag_exits_two(capsys):
     code, _, _ = run_cli(capsys, "inspections", "--n", "12", "--r", "5", "--k", "3", "--bogus")
     assert code == 2

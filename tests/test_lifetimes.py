@@ -151,6 +151,21 @@ def test_vectorized_evaluation_matches_scalars():
     assert np.allclose(m.quantile(us), [m.quantile(float(u)) for u in us])
 
 
+@pytest.mark.parametrize(
+    "model", [*model_triplet(), Weibull(1.5, 2.0), Empirical([2.0, 1.0, 4.0])], ids=repr,
+)
+def test_scalar_quantile_is_the_array_quantile(model):
+    us = np.random.default_rng(6).random(2000)
+    assert [model.quantile(u) for u in us.tolist()] == model.quantile(us).tolist()
+
+
+@pytest.mark.parametrize("model", [Weibull(0.02, 1e300), Exponential(1e-308)], ids=repr)
+def test_quantile_beyond_the_largest_float_is_inf(model):
+    # warnings are errors here
+    assert model.quantile(0.999) == math.inf
+    assert model.quantile(np.array([0.5, 0.999])).tolist()[1] == math.inf
+
+
 def test_sampling_is_deterministic_and_shaped():
     m = Exponential(2.0)
     a = m.sample(np.random.default_rng(5), (4, 3))
@@ -158,6 +173,7 @@ def test_sampling_is_deterministic_and_shaped():
     assert a.shape == (4, 3)
     assert np.array_equal(a, b)
     assert np.all(a >= 0.0)
+    assert m.sample(np.random.default_rng(5), None) == a[0, 0]
 
 
 def test_empirical_step_cdf_and_quantile():
@@ -214,7 +230,7 @@ def test_parse_model_grammar(tmp_path):
     path = tmp_path / "values.csv"
     path.write_text("1.0\n\n0.5\n2.5\n")
     e = parse_model(f"empirical:@{path}")
-    assert isinstance(e, Empirical) and e.sample.tolist() == [0.5, 1.0, 2.5]
+    assert isinstance(e, Empirical) and e.values.tolist() == [0.5, 1.0, 2.5]
 
 
 @pytest.mark.parametrize(

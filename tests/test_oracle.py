@@ -5,6 +5,7 @@ import pytest
 
 from ordstat import (
     DomainError,
+    Empirical,
     EnumerationSizeError,
     Exponential,
     NullConditioningError,
@@ -162,6 +163,15 @@ def test_simulated_pmf_matches_exact_for_both_models():
         assert set(estimates) == set(exact)
         for m, est in estimates.items():
             assert abs(est.estimate - float(exact[m])) <= 4.0 * est.std_error
+
+
+def test_simulated_pmf_matches_exact_for_an_empirical_model():
+    cfg = SystemConfig(6, 4)
+    exact = inspection_pmf(cfg, 2).as_dict()
+    estimates = mc_inspection_pmf(cfg, Empirical(range(1, 1001)), 2, 200_000, seed=19)
+    assert set(estimates) == set(exact)
+    for m, est in estimates.items():
+        assert abs(est.estimate - float(exact[m])) <= 4.0 * est.std_error
 
 
 def test_simulated_pmf_point_mass_cases():
