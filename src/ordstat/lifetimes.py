@@ -131,7 +131,9 @@ class LifetimeModel(ABC):
 
     def _transform(self, u):
         """Check the owned float64 array ``u`` and overwrite it with its quantile."""
-        if not np.all((u > 0.0) & (u < 1.0)):
+        # two reductions and no temporaries; NaN fails both comparisons, and
+        # the initial 0.5 lets an empty array through
+        if not (u.min(initial=0.5) > 0.0 and u.max(initial=0.5) < 1.0):
             raise DomainError("probability argument must lie strictly inside (0, 1)")
         with np.errstate(over="ignore"):
             return self._from_uniform(u)

@@ -13,10 +13,20 @@ their rounding.  Conditional quantities use rejection sampling and report
 the fraction of raw replications that satisfied the conditioning event;
 standard errors are computed from the accepted count.
 
+``mc_inspection_pmf`` marks a component failed when its lifetime is
+strictly below the row's r-th order statistic and locates each row's k-th
+failure without a running count: ``np.flatnonzero`` lists the failures of
+the whole batch in row-major order, so a row's k-th failure sits k - 1
+places after the row's offset, the number of failures in the rows above it
+(an exclusive cumulative sum of the per-row counts).  Its flat position
+modulo n is the component index.
+
 Exact floating-point ties between a lifetime and the r-th order statistic
-would resolve against "failed" (strict comparison).  For continuous models
-such ties have probability zero and cannot move an estimate beyond machine
-precision.
+resolve against "failed" (strict comparison).  For continuous models such
+ties have probability zero and cannot move an estimate beyond machine
+precision.  Under an empirical model they are common: a row may then hold
+fewer than r - 1 failures, and its k-th failure may fall beyond the
+support of the inspection count or not exist.
 """
 
 from __future__ import annotations
@@ -100,9 +110,13 @@ def _iter_batches(model: LifetimeModel, n: int, m_reps: int, seed: int):
 
 
 def _check_reps(m_reps: int) -> int:
-    if int(m_reps) != m_reps or m_reps < 1:
+    try:
+        reps = int(m_reps)
+    except (TypeError, ValueError, OverflowError):  # None, NaN, an infinity
+        reps = 0
+    if reps != m_reps or reps < 1:
         raise DomainError(f"replication count must be a positive integer, got {m_reps!r}")
-    return int(m_reps)
+    return reps
 
 
 def mc_event_prob(
@@ -184,20 +198,28 @@ def mc_inspection_pmf(
     strictly below the r-th smallest lifetime, and record the index of the
     inspection (components scanned in index order) at which the k-th failed
     component turns up.
+
+    The estimates sum to the share of replications whose k-th detection
+    came at an inspection in the support k .. n - r + k + 1.  That share is
+    1 for continuous models.  It falls below 1 only when lifetimes tie with
+    the r-th smallest one, as they can under an empirical model: a row then
+    holds fewer than r - 1 failures, so its k-th one may come later than
+    n - r + k + 1 or not at all, and the shortfall is not reported.
     """
     cfg.validate_k(k)
     m_reps = _check_reps(m_reps)
     k = int(k)
-    counts = np.zeros(cfg.n + 2, dtype=np.int64)
-    for samples, ordered in _iter_batches(model, cfg.n, m_reps, seed):
-        threshold = ordered[:, cfg.r - 1]
-        # a count is at most n, and one row of 2**31 lifetimes alone takes 16 GiB
-        found = np.cumsum(samples < threshold[:, None], axis=1, dtype=np.int32)
-        # the k-th detection is at the inspection after the last one with
-        # fewer than k; a row that never reaches k detections (possible only
-        # through exact float ties) lands in bucket n + 1, off the support
-        hit = np.count_nonzero(found < k, axis=1) + 1
-        counts += np.bincount(hit, minlength=cfg.n + 2)
+    n = cfg.n
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for samples, ordered in _iter_batches(model, n, m_reps, seed):
+        failed = samples < ordered[:, cfg.r - 1, None]
+        per_row = np.count_nonzero(failed, axis=1)
+        # failures in row-major order: a row's k-th one sits k - 1 places
+        # after the failures of all rows above it
+        kth = np.cumsum(per_row) - per_row + (k - 1)
+        # a row with fewer than k failures (float ties only) counts nowhere
+        hit = np.flatnonzero(failed)[kth[per_row >= k]] % n + 1
+        counts += np.bincount(hit, minlength=n + 1)
     out = {}
     for m in cfg.detection_support(k):
         p_hat = counts[m] / m_reps

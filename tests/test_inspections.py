@@ -159,3 +159,45 @@ def test_csv_emission_format(capsys):
     assert emitted == pmf.as_dict()
     for _, num, den, dec in rows[1:]:
         assert dec == f"{int(num) / int(den):.6f}"
+
+
+def naive_mean(pmf):
+    """The mean as a Fraction sum, one term at a time."""
+    return sum((m * p for m, p in zip(pmf.support, pmf.probs)), start=Fraction(0))
+
+
+def test_expected_value_is_the_naive_sum_for_every_small_system():
+    triples = 0
+    for n in range(2, 40):
+        for r in range(2, n + 1):
+            cfg = SystemConfig(n, r)
+            for k in range(1, r):
+                pmf = inspection_pmf(cfg, k)
+                mean = expected_inspections(pmf)
+                assert mean == naive_mean(pmf) == Fraction(k * (n + 1), r)
+                triples += 1
+    assert triples == 9880
+
+
+def test_expected_value_over_unequal_denominators():
+    cfg = SystemConfig(6, 4)
+    support = tuple(cfg.detection_support(2))
+    # denominators 6, 10, 15 and 3, none of them their lcm 30
+    probs = (Fraction(1, 6), Fraction(1, 10), Fraction(1, 15), Fraction(2, 3))
+    pmf = InspectionPmf(cfg, 2, support, probs)
+    assert expected_inspections(pmf) == naive_mean(pmf) == Fraction(127, 30)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_pmf_rejects_a_sum_off_one_by_a_tiny_amount(sign):
+    cfg = SystemConfig(6, 4)
+    good = inspection_pmf(cfg, 2)
+    probs = (good.probs[0] + sign * Fraction(1, 10**40),) + good.probs[1:]
+    with pytest.raises(DomainError, match="sum to exactly 1"):
+        InspectionPmf(cfg, 2, good.support, probs)
+
+
+def test_pmf_rejects_float_probabilities():
+    cfg = SystemConfig(3, 3)
+    with pytest.raises(DomainError, match="exact rationals"):
+        InspectionPmf(cfg, 1, (1, 2), (0.5, 0.5))

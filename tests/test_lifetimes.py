@@ -215,10 +215,35 @@ def test_constructors_reject_bad_parameters(build):
 
 
 @pytest.mark.parametrize("model", model_triplet(), ids=lambda m: type(m).__name__)
-@pytest.mark.parametrize("u", [0.0, 1.0, -0.2, 1.3])
+@pytest.mark.parametrize("u", [0.0, -0.0, 1.0, -0.2, 1.3, math.nan])
 def test_quantile_rejects_bad_probability(model, u):
     with pytest.raises(DomainError):
         model.quantile(u)
+
+
+ALL_MODELS = [*model_triplet(), Weibull(0.5, 2.0), Empirical([2.0, 1.0, 4.0])]
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
+def test_quantile_of_an_empty_array_is_empty(model):
+    out = model.quantile(np.array([]))
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -0.0, 1.0])
+@pytest.mark.parametrize("where", [0, 2500, 4999])
+def test_quantile_rejects_one_bad_element_anywhere(bad, where):
+    u = np.random.default_rng(8).random(5000)
+    u[where] = bad
+    with pytest.raises(DomainError):
+        Exponential(1.0).quantile(u)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
+def test_quantile_of_a_zero_dim_array_is_a_float(model):
+    out = model.quantile(np.array(0.3))
+    assert type(out) is float
+    assert out == model.quantile(np.array([0.3]))[0]
 
 
 def test_parse_model_grammar(tmp_path):

@@ -196,3 +196,83 @@ def test_simulated_pmf_point_mass_cases():
 def test_event_builders_reject_bad_thresholds(build, bad):
     with pytest.raises(DomainError):
         build(bad)
+
+
+@pytest.mark.parametrize("reps", [math.nan, math.inf, -math.inf, 0, 2.5])
+@pytest.mark.parametrize(
+    "simulate",
+    [
+        lambda reps: mc_event_prob(SystemConfig(5, 2), EXP, first_observation_leq(1.0), reps, 1),
+        lambda reps: mc_event_mean(SystemConfig(5, 2), EXP, lambda s, o: s[:, 0], reps, 1),
+        lambda reps: mc_inspection_pmf(SystemConfig(5, 2), EXP, 1, reps, 1),
+    ],
+    ids=["mc_event_prob", "mc_event_mean", "mc_inspection_pmf"],
+)
+def test_bad_replication_counts_raise_domain_error(simulate, reps):
+    with pytest.raises(DomainError):
+        simulate(reps)
+
+
+# five distinct values: a row often ties with its 4th smallest lifetime, so
+# it holds fewer than r - 1 = 3 failures
+TIED = Empirical([1, 2, 3, 5, 8])
+TIED_CFG = SystemConfig(6, 4)
+# per-k estimates at 1,000 replications, seed 1, recorded from the running-count
+# implementation of the detection step; each sums to the share of rows that
+# reached k detections
+TIED_PINS = {
+    1: {1: 0.416, 2: 0.253, 3: 0.156, 4: 0.089},
+    2: {2: 0.128, 3: 0.211, 4: 0.232, 5: 0.194},
+    3: {3: 0.021, 4: 0.086, 5: 0.168, 6: 0.266},
+}
+
+
+@pytest.mark.parametrize("k", sorted(TIED_PINS))
+def test_tied_lifetimes_give_the_recorded_estimates(k):
+    estimates = mc_inspection_pmf(TIED_CFG, TIED, k, 1000, seed=1)
+    assert {m: est.estimate for m, est in estimates.items()} == TIED_PINS[k]
+    assert sum(est.estimate for est in estimates.values()) < 1.0
+
+
+@pytest.mark.parametrize("k", sorted(TIED_PINS))
+def test_tied_estimates_sum_to_the_share_detected_within_the_support(k):
+    n, r = TIED_CFG.n, TIED_CFG.r
+    reached = within = 0
+    for samples, ordered in oracle._iter_batches(TIED, n, 1000, seed=1):
+        found = np.cumsum(samples < ordered[:, [r - 1]], axis=1)
+        reached += int(np.count_nonzero(found[:, -1] >= k))
+        # the k-th detection by inspection n - r + k + 1, the last support point
+        within += int(np.count_nonzero(found[:, n - r + k] >= k))
+    estimates = mc_inspection_pmf(TIED_CFG, TIED, k, 1000, seed=1)
+    assert math.fsum(est.estimate for est in estimates.values()) == pytest.approx(within / 1000)
+    # with ties some rows find their k-th failure only beyond the support,
+    # which ends at the last inspection n when k = r - 1
+    assert (within < reached) == (k < r - 1)
+
+
+def test_rows_without_failures_give_zero_estimates():
+    # every lifetime equals the r-th smallest, so no component ever fails
+    estimates = mc_inspection_pmf(TIED_CFG, Empirical([3.0, 3.0]), 2, 1000, seed=1)
+    assert set(estimates) == set(TIED_CFG.detection_support(2))
+    assert all(est.estimate == 0.0 and est.std_error == 0.0 for est in estimates.values())
+
+
+def test_tied_estimates_do_not_depend_on_batching(monkeypatch):
+    one_batch = mc_inspection_pmf(TIED_CFG, TIED, 2, 1000, seed=1)
+    monkeypatch.setattr(oracle, "_BATCH_ELEMENTS", 60)  # 100 batches of 10 rows
+    assert mc_inspection_pmf(TIED_CFG, TIED, 2, 1000, seed=1) == one_batch
+
+
+@pytest.mark.parametrize("n,r", [(6, 4), (9, 9), (30, 12)])
+def test_detection_step_equals_a_running_count(n, r):
+    # heavy ties: lifetimes take eight values, so rows hold 0 .. r - 1 failures
+    cfg, model, reps = SystemConfig(n, r), Empirical(range(8)), 5000
+    for k in range(1, r):
+        counts = np.zeros(n + 2, dtype=np.int64)
+        for samples, ordered in oracle._iter_batches(model, n, reps, seed=4):
+            found = np.cumsum(samples < ordered[:, [r - 1]], axis=1)
+            counts += np.bincount((found < k).sum(axis=1) + 1, minlength=n + 2)
+        estimates = mc_inspection_pmf(cfg, model, k, reps, seed=4)
+        assert {m: est.estimate for m, est in estimates.items()} == {
+            m: counts[m] / reps for m in cfg.detection_support(k)
+        }
