@@ -15,6 +15,13 @@ module evaluates:
 
 All closed forms are routed through upper binomial tails, which keeps a
 single code path valid for every 1 <= r <= n including r = 1 and r = n.
+
+Each public law computes F once per time it is given, F(x), F(t), F(t1)
+and F(t2), and hands those values to the private helpers ``_window_prob``,
+``_window_slopes`` and ``_joint_cdf_single``, which take F values rather
+than times.  A survival function S = 1 - F computed on its own would be
+evaluated in the public laws alongside F and passed to the helpers in the
+same way.
 """
 
 from __future__ import annotations
@@ -60,8 +67,10 @@ def _check_time(value, name: str = "time") -> float:
 
 def _check_times(values, name: str = "x") -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    bad = np.isnan(arr) | (arr < 0.0)
-    if np.any(bad):
+    # one reduction: a NaN propagates and fails, and the initial 0.0 lets an
+    # empty array through; the mask only names the first bad value
+    if not arr.min(initial=0.0) >= 0.0:
+        bad = np.isnan(arr) | (arr < 0.0)
         raise DomainError(f"{name} must be a nonnegative time, got {float(arr[bad].flat[0])!r}")
     return arr
 
@@ -98,12 +107,12 @@ class EvalGrid:
         points, values = self.points, self.values
         if points.ndim != 1 or points.shape != values.shape or not points.size:
             raise DomainError("grid needs matching, nonempty points and values")
-        if np.any(points[1:] <= points[:-1]):
+        # one reduction per check, each written so that a NaN fails it
+        if not (points[1:] > points[:-1]).all():
             raise DomainError("grid points must be strictly increasing")
-        # written so that a NaN value fails
-        if not np.all((values >= 0.0) & (values <= 1.0)):
+        if not (values.min() >= 0.0 and values.max() <= 1.0):
             raise DomainError("grid values must lie in [0, 1]")
-        if np.any(np.diff(values) < -1e-9):
+        if ((values[1:] - values[:-1]) < -1e-9).any():
             raise DomainError("CDF grid values must be nondecreasing")
 
 
@@ -113,11 +122,28 @@ def order_stat_cdf(cfg: SystemConfig, model: LifetimeModel, t) -> float:
     return binom_tail(cfg.n, cfg.r, model.cdf(t))
 
 
+def _window_prob(cfg: SystemConfig, p1: float, p2: float) -> float:
+    """P{t1 <= X_{r:n} <= t2} from p1 = F(t1) and p2 = F(t2)."""
+    hi = binom_tail(cfg.n, cfg.r, p2)
+    lo = binom_tail(cfg.n, cfg.r, p1)
+    return max(0.0, hi - lo)
+
+
 def window_prob(cfg: SystemConfig, model: LifetimeModel, window: Window) -> float:
     """P{t1 <= X_{r:n} <= t2}."""
-    hi = binom_tail(cfg.n, cfg.r, model.cdf(window.t2))
-    lo = binom_tail(cfg.n, cfg.r, model.cdf(window.t1))
-    return max(0.0, hi - lo)
+    return _window_prob(cfg, model.cdf(window.t1), model.cdf(window.t2))
+
+
+def _window_slopes(cfg: SystemConfig, window: Window, p1: float, p2: float):
+    """window_slopes from p1 = F(t1) and p2 = F(t2)."""
+    n, r = cfg.n, cfg.r
+    prob = _window_prob(cfg, p1, p2)
+    _check_event(prob, f"{{{window.t1} <= X_({r}:{n}) <= {window.t2}}}")
+    up1 = binom_tail(n - 1, r - 1, p1)
+    up2 = binom_tail(n - 1, r - 1, p2)
+    mid1 = binom_tail(n - 1, r, p1)
+    mid2 = binom_tail(n - 1, r, p2)
+    return (up2 - up1) / prob, (up2 - mid1) / prob, (mid2 - mid1) / prob
 
 
 def window_slopes(cfg: SystemConfig, model: LifetimeModel, window: Window):
@@ -130,16 +156,15 @@ def window_slopes(cfg: SystemConfig, model: LifetimeModel, window: Window):
     other n - 1 must fail by t2 but not by t1; inside it, r - 1 by t2 and
     fewer than r by t1; above it, r by t2 but not by t1.
     """
+    return _window_slopes(cfg, window, model.cdf(window.t1), model.cdf(window.t2))
+
+
+def _joint_cdf_single(cfg: SystemConfig, x, t: float, fx, ft: float):
+    """joint_cdf_single from the checked x and t, fx = F(x) and ft = F(t)."""
     n, r = cfg.n, cfg.r
-    prob = window_prob(cfg, model, window)
-    _check_event(prob, f"{{{window.t1} <= X_({r}:{n}) <= {window.t2}}}")
-    p1 = model.cdf(window.t1)
-    p2 = model.cdf(window.t2)
-    up1 = binom_tail(n - 1, r - 1, p1)
-    up2 = binom_tail(n - 1, r - 1, p2)
-    mid1 = binom_tail(n - 1, r, p1)
-    mid2 = binom_tail(n - 1, r, p2)
-    return (up2 - up1) / prob, (up2 - mid1) / prob, (mid2 - mid1) / prob
+    below = binom_tail(n - 1, r - 1, ft)
+    above = binom_tail(n - 1, r, ft)
+    return _clip01(np.where(x > t, ft * below + (fx - ft) * above, fx * below))
 
 
 def joint_cdf_single(cfg: SystemConfig, model: LifetimeModel, x, t):
@@ -157,12 +182,7 @@ def joint_cdf_single(cfg: SystemConfig, model: LifetimeModel, x, t):
     """
     x = _check_times(x, "x")
     t = _check_time(t, "t")
-    n, r = cfg.n, cfg.r
-    fx = model.cdf(x)
-    ft = model.cdf(t)
-    below = binom_tail(n - 1, r - 1, ft)
-    above = binom_tail(n - 1, r, ft)
-    return _clip01(np.where(x > t, ft * below + (fx - ft) * above, fx * below))
+    return _joint_cdf_single(cfg, x, t, model.cdf(x), model.cdf(t))
 
 
 def cond_cdf_given_leq(cfg: SystemConfig, model: LifetimeModel, x, t):
@@ -172,9 +192,13 @@ def cond_cdf_given_leq(cfg: SystemConfig, model: LifetimeModel, x, t):
     for r = n this reduces to F(min(x, t)) / F(t), and for r = 1 to the law
     of an observation given that some observation is <= t.
     """
-    denom = order_stat_cdf(cfg, model, t)
+    # t and the event are checked before x
+    checked_t = _check_time(t, "t")
+    ft = model.cdf(checked_t)
+    denom = binom_tail(cfg.n, cfg.r, ft)
     _check_event(denom, f"{{X_({cfg.r}:{cfg.n}) <= {t}}}")
-    return _clip01(joint_cdf_single(cfg, model, x, t) / denom)
+    x = _check_times(x, "x")
+    return _clip01(_joint_cdf_single(cfg, x, checked_t, model.cdf(x), ft) / denom)
 
 
 def cond_cdf_between(cfg: SystemConfig, model: LifetimeModel, x, window: Window):
@@ -188,9 +212,9 @@ def cond_cdf_between(cfg: SystemConfig, model: LifetimeModel, x, window: Window)
     probability equals joint_cdf_single(x, t2) - joint_cdf_single(x, t1).
     """
     x = _check_times(x, "x")
-    low, mid, high = window_slopes(cfg, model, window)
     p1 = model.cdf(window.t1)
     p2 = model.cdf(window.t2)
+    low, mid, high = _window_slopes(cfg, window, p1, p2)
     # F is nondecreasing, so clipping F(x) to [p1, p2] is F of the clipped x
     fx = model.cdf(x)
     value = (

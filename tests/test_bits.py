@@ -1,9 +1,13 @@
-"""Bit-for-bit pins of the sampling path.
+"""Bit-for-bit pins of the sampling path and of the laws.
 
 The Monte-Carlo values below were recorded from the plain-expression
 implementation of the quantiles and of the detection count; each in-place
-rewrite of those paths must reproduce them exactly, not just closely.
+rewrite of those paths must reproduce them exactly, not just closely.  The
+law values were recorded from the implementation that evaluated F afresh
+in every helper, before each public law computed F once per time.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -16,10 +20,16 @@ from ordstat import (
     Uniform,
     Weibull,
     Window,
+    cond_cdf_between,
+    cond_cdf_given_leq,
+    cond_pdf_between,
+    joint_cdf_single,
     mc_event_mean,
     mc_event_prob,
     mc_inspection_pmf,
+    mrl_summary,
 )
+from ordstat.joint import window_slopes
 from ordstat.oracle import first_observation_leq, order_stat_in_window, order_stat_leq
 
 U_EDGES = [5e-324, 1e-300, 0.5, 1.0 - 2.0**-53]
@@ -96,3 +106,68 @@ def test_tied_lifetimes_leave_every_row_off_the_support():
     estimates = mc_inspection_pmf(cfg, Empirical([1.0]), 2, 1000, seed=1)
     assert list(estimates) == list(cfg.detection_support(2))
     assert all(est.estimate == 0.0 for est in estimates.values())
+
+
+LAW_CFG = SystemConfig(12, 5)
+# per model and law: (the first 16 hex digits of the sha256 of the float64
+# bytes of the 201-point grid, the value at the scalar x = grid[40]); then
+# the window slopes and (phi, psi, truncation_bound) of mrl_summary
+LAW_PINS = {
+    Exponential(1.3): {
+        "joint": ("f581b9a4e441eb49", 0.5441363129575483),
+        "given_leq": ("7b713ab5795d3451", 0.7822906085313162),
+        "between": ("fbe5a5d0790e2db8", 0.7262281083699502),
+        "pdf_between": ("191bc09f85ec674c", 0.3565255793488012),
+        "slopes": (0.7873702380980863, 1.0918106894192119, 1.089417919304841),
+        "mrl": (-0.4109213221433159, 0.4109213221433159, 4.941828395646741e-14),
+    },
+    Weibull(0.5, 2.0): {
+        "joint": ("36c8eda99dd08e56", 0.6681158735064388),
+        "given_leq": ("00ac39621e32e04c", 0.9605327944646108),
+        "between": ("d8f569ba2e57d916", 0.9503917704432663),
+        "pdf_between": ("c3a771308a1d0274", 0.004014595518090503),
+        "slopes": (0.7873702380980863, 1.0918106894192119, 1.089417919304841),
+        "mrl": (-0.8278771932288649, 0.8278771932288649, 2.4886279103605874e-13),
+    },
+    Weibull(2.0, 1.0): {
+        "joint": ("afd28d9778be9593", 0.19528111607453566),
+        "given_leq": ("8441e8600e8cfce5", 0.28075057571197504),
+        "between": ("6da1dac752c85d67", 0.1900888322314889),
+        "pdf_between": ("207f62515b5e412f", 0.6279245425217589),
+        "slopes": (0.7873702380980863, 1.0918106894192119, 1.089417919304841),
+        "mrl": (-0.3368640570723461, 0.3368640570723461, 6.011200399942163e-14),
+    },
+    Uniform(0.5, 3.0): {
+        "joint": ("1f47df6730ead5df", 0.03219331601323302),
+        "given_leq": ("65a6dfbae07d3af3", 0.04628349215979974),
+        "between": ("6b246b01a86e2917", 0.031337335476303844),
+        "pdf_between": ("37e6cac9498ca909", 0.3149480952392345),
+        "slopes": (0.7873702380980863, 1.0918106894192119, 1.089417919304841),
+        "mrl": (-0.6705629355510785, 0.6705629355510785, 1.2028279857199007e-13),
+    },
+}
+
+
+def _grid_digest(values):
+    return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("model", LAW_PINS, ids=repr)
+def test_laws_are_pinned(model):
+    pins = LAW_PINS[model]
+    t = model.quantile(0.45)
+    window = Window(model.quantile(0.3), model.quantile(0.8))
+    xs = np.linspace(0.0, model.quantile(0.999), 201)
+    laws = {
+        "joint": lambda x: joint_cdf_single(LAW_CFG, model, x, t),
+        "given_leq": lambda x: cond_cdf_given_leq(LAW_CFG, model, x, t),
+        "between": lambda x: cond_cdf_between(LAW_CFG, model, x, window),
+        "pdf_between": lambda x: cond_pdf_between(LAW_CFG, model, x, window),
+    }
+    for name, law in laws.items():
+        digest, value = pins[name]
+        assert _grid_digest(law(xs)) == digest, name
+        assert law(float(xs[40])) == value, name
+    assert window_slopes(LAW_CFG, model, window) == pins["slopes"]
+    summary = mrl_summary(LAW_CFG, model, window)
+    assert (summary.phi, summary.psi, summary.truncation_bound) == pins["mrl"]

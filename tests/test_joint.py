@@ -27,6 +27,7 @@ from ordstat import (
     pair_cond_joint_cdf,
     window_prob,
 )
+from ordstat.joint import _check_times
 from ordstat.oracle import mc_event_prob, order_stat_in_window, order_stat_leq
 
 EXP = Exponential(1.0)
@@ -162,6 +163,15 @@ def test_conditional_null_event_raises():
         cond_cdf_given_leq(cfg, Uniform(1.0, 2.0), 1.5, 0.5)
 
 
+def test_threshold_and_event_are_checked_before_x():
+    # {X_(2:5) <= 0} is null, and the bad x is never looked at
+    cfg = SystemConfig(5, 2)
+    with pytest.raises(NullConditioningError):
+        cond_cdf_given_leq(cfg, Exponential(1.0), [-1.0], 0.0)
+    with pytest.raises(DomainError, match="^t must be"):
+        cond_cdf_given_leq(cfg, Exponential(1.0), [-1.0], -1.0)
+
+
 # --- conditioning on a window -------------------------------------------------
 
 
@@ -189,6 +199,15 @@ def test_window_law_against_monte_carlo():
     assert est.conditioned_fraction * est.replications >= 10_000
     exact = cond_cdf_between(cfg, EXP, 1.5, w)
     assert abs(est.estimate - exact) <= 3.0 * est.std_error
+
+
+def test_window_law_checks_x_before_the_window_event():
+    # the window holds X_(2:5) with probability exactly 0 under Uniform(1, 2)
+    cfg, model, null = SystemConfig(5, 2), Uniform(1.0, 2.0), Window(0.1, 0.5)
+    with pytest.raises(NullConditioningError):
+        cond_cdf_between(cfg, model, [1.5], null)
+    with pytest.raises(DomainError, match="^x must be"):
+        cond_cdf_between(cfg, model, [-1.0], null)
 
 
 def test_window_law_low_branch_form():
@@ -496,9 +515,16 @@ def test_eval_grid_dispatch_and_validation():
     with pytest.raises(DomainError):
         EvalGrid((0.0, 1.0), (0.5, 0.2))  # decreasing values
     with pytest.raises(DomainError):
+        EvalGrid((0.0, 1.0), (0.5, 0.5 - 2e-9))  # decreasing beyond the 1e-9 rounding slack
+    EvalGrid((0.0, 1.0), (0.5, 0.5 - 5e-10))  # within it
+    with pytest.raises(DomainError):
         EvalGrid((0.0, 1.0), (0.5, 1.2))  # outside [0, 1]
     with pytest.raises(DomainError):
         EvalGrid((0.0, 1.0), (0.5, math.nan))  # NaN is not in [0, 1]
+    with pytest.raises(DomainError, match="strictly increasing"):
+        EvalGrid((0.0, math.nan, 1.0), (0.0, 0.5, 1.0))  # a NaN point is not increasing
+    grid = EvalGrid((2.0,), (0.5,))  # one point: nothing to compare, still a grid
+    assert grid.points.tolist() == [2.0] and grid.values.tolist() == [0.5]
 
 
 # --- array evaluation of the x-laws ------------------------------------------
@@ -531,3 +557,23 @@ def test_array_call_matches_scalar_calls(model, name, law):
 def test_array_call_rejects_bad_entries(name, law, bad):
     with pytest.raises(DomainError):
         law(SystemConfig(9, 4), EXP, np.array([0.1, bad, 2.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.5])
+@pytest.mark.parametrize("position", [0, 2500, 4999])
+def test_check_times_names_the_first_bad_value(bad, position):
+    values = np.linspace(0.0, 10.0, 5000)
+    values[position:] = -3.0  # bad too, but after the first
+    values[position] = bad
+    with pytest.raises(DomainError) as excinfo:
+        _check_times(values)
+    assert str(excinfo.value) == f"x must be a nonnegative time, got {bad!r}"
+
+
+@pytest.mark.parametrize("values", [np.array([]), np.array(2.5), -0.0, math.inf,
+                                    [0.0, -0.0, 1.0, math.inf]], ids=repr)
+def test_check_times_accepts_empty_zero_d_signed_zero_and_inf(values):
+    want = np.asarray(values, dtype=float)
+    got = _check_times(values)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
