@@ -205,6 +205,8 @@ def _cmd_simulate(args, cfg: SystemConfig) -> Report:
         return Report(["m", "estimate", "std_error", "replications"], records)
     if args.x is None:
         raise DomainError("simulate --target event needs --x")
+    if args.t is not None and (args.t1 is not None or args.t2 is not None):
+        raise DomainError("simulate --target event needs exactly one of --t or --t1/--t2")
     windowed = args.t1 is not None and args.t2 is not None
     if windowed:
         estimate = mc_event_prob(

@@ -5,18 +5,25 @@ The Monte-Carlo engine draws lifetimes by inverse-CDF sampling of uniforms
 from numpy's PCG64 generator (``numpy.random.default_rng``).  The generator
 family is part of the reproducibility contract: identical seeds give
 identical estimates, bit for bit, on a given platform.  Replications are
-consumed as one sequential stream in batches bounded by element count: at
-most ``_BATCH_ELEMENTS`` = 2**21 lifetimes, that is 2**21 // n
-replications (at least one), so peak memory does not grow with n.  Counts
-do not depend on batching, and the float sums of ``mc_event_mean`` only in
-their rounding.  Conditional quantities use rejection sampling and report
-the fraction of raw replications that satisfied the conditioning event;
-standard errors are computed from the accepted count.
+drawn as one sequential stream and processed in row blocks, the unit of
+work: at most ``_BLOCK_ELEMENTS`` = 2**15 lifetimes, that is 2**15 // n
+replications (at least one), so each (block, n) float64 array takes at
+most 256 KiB and stays in cache whatever n and the replication count.
+Batches of at most ``_BATCH_ELEMENTS`` = 2**21 lifetimes are only the
+summation unit of ``mc_event_mean``: a block never straddles the end of a
+batch, and the kept values of a batch are summed in one reduction, since a
+float sum's rounding depends on how its terms are split.  Neither the block
+size nor the batch size changes any bit of an estimate: the stream, the
+row-wise sort and the per-row events do not see the blocks, counts are
+integers, and the sums see whole batches.  Conditional quantities use
+rejection sampling and report the fraction of raw replications that
+satisfied the conditioning event; standard errors are computed from the
+accepted count.
 
 ``mc_inspection_pmf`` marks a component failed when its lifetime is
 strictly below the row's r-th order statistic and locates each row's k-th
 failure without a running count: ``np.flatnonzero`` lists the failures of
-the whole batch in row-major order, so a row's k-th failure sits k - 1
+the whole block in row-major order, so a row's k-th failure sits k - 1
 places after the row's offset, the number of failures in the rows above it
 (an exclusive cumulative sum of the per-row counts).  Its flat position
 modulo n is the component index.
@@ -57,10 +64,13 @@ __all__ = [
     "order_stat_in_window",
 ]
 
-# lifetimes per batch: each (batch, n) float64 array stays within 16 MiB
+# lifetimes per block, the unit of work: a (block, n) float64 array takes 256 KiB
+_BLOCK_ELEMENTS = 1 << 15
+# lifetimes per batch, the summation unit of mc_event_mean
 _BATCH_ELEMENTS = 1 << 21
 
-# predicate over (samples, row-wise order statistics), both (batch, n) arrays
+# predicate over (samples, row-wise order statistics), both (block, n)
+# arrays; a row's result may depend only on that row
 EventFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -80,9 +90,19 @@ def first_observation_leq(x) -> EventFn:
 
 
 def observation_leq(index: int, x) -> EventFn:
-    """Event {X_index <= x} for a 1-based component index."""
-    i, x = int(index) - 1, _check_time(x, "x")
-    return lambda samples, ordered: samples[:, i] <= x
+    """Event {X_index <= x} for a 1-based component index.
+
+    The index must not exceed n, which is checked when the event is evaluated.
+    """
+    index, x = _positive_int(index, "component index"), _check_time(x, "x")
+
+    def event(samples, ordered):
+        n = samples.shape[1]
+        if index > n:
+            raise DomainError(f"component index {index} exceeds the sample width n={n}")
+        return samples[:, index - 1] <= x
+
+    return event
 
 
 def order_stat_leq(cfg: SystemConfig, t) -> EventFn:
@@ -98,25 +118,38 @@ def order_stat_in_window(cfg: SystemConfig, window: Window) -> EventFn:
     )
 
 
+def _rows(elements: int, n: int) -> int:
+    """Replications in ``elements`` lifetimes, at least one."""
+    return max(1, elements // n)
+
+
 def _iter_batches(model: LifetimeModel, n: int, m_reps: int, seed: int):
+    """(samples, ordered) row blocks of ``m_reps`` seeded replications.
+
+    Each block holds at most ``_BLOCK_ELEMENTS`` lifetimes, or one row, and
+    ends at or before the end of its batch of ``_BATCH_ELEMENTS``.
+    """
     rng = np.random.default_rng(seed)
-    rows = max(1, _BATCH_ELEMENTS // n)
-    left = m_reps
-    while left > 0:
-        count = min(left, rows)
-        samples = model.sample(rng, (count, n))
-        yield samples, np.sort(samples, axis=1)
-        left -= count
+    batch, block = _rows(_BATCH_ELEMENTS, n), _rows(_BLOCK_ELEMENTS, n)
+    for first in range(0, m_reps, batch):
+        end = min(first + batch, m_reps)
+        for start in range(first, end, block):
+            samples = model.sample(rng, (min(block, end - start), n))
+            yield samples, np.sort(samples, axis=1)
+
+
+def _positive_int(value, name: str) -> int:
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):  # None, NaN, an infinity
+        number = 0
+    if number != value or number < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    return number
 
 
 def _check_reps(m_reps: int) -> int:
-    try:
-        reps = int(m_reps)
-    except (TypeError, ValueError, OverflowError):  # None, NaN, an infinity
-        reps = 0
-    if reps != m_reps or reps < 1:
-        raise DomainError(f"replication count must be a positive integer, got {m_reps!r}")
-    return reps
+    return _positive_int(m_reps, "replication count")
 
 
 def mc_event_prob(
@@ -130,7 +163,7 @@ def mc_event_prob(
 ) -> McEstimate:
     """Relative frequency of ``event`` over ``m_reps`` seeded replications.
 
-    ``event`` and ``given`` receive the (batch, n) matrix of lifetimes and
+    ``event`` and ``given`` receive a (block, n) matrix of lifetimes and
     the row-wise order statistics and must return boolean vectors.  With
     ``given`` the estimate is conditional (rejection sampling), and the
     standard error reflects the accepted count only.
@@ -168,16 +201,25 @@ def mc_event_mean(
     error is the sample standard deviation over sqrt(accepted count).
     """
     m_reps = _check_reps(m_reps)
+    batch = _rows(_BATCH_ELEMENTS, cfg.n)
+    # the kept values of the current batch, summed when its last block is in
+    values = np.empty(min(batch, m_reps))
     total = 0.0
     total_sq = 0.0
-    kept = 0
+    kept = filled = rows = 0
     for samples, ordered in _iter_batches(model, cfg.n, m_reps, seed):
-        values = np.asarray(statistic(samples, ordered), dtype=float)
+        block = np.asarray(statistic(samples, ordered), dtype=float)
         if given is not None:
-            values = values[np.asarray(given(samples, ordered), dtype=bool)]
-        total += float(values.sum())
-        total_sq += float(np.square(values).sum())
-        kept += values.size
+            block = block[np.asarray(given(samples, ordered), dtype=bool)]
+        values[filled:filled + block.size] = block
+        filled += block.size
+        rows += samples.shape[0]
+        if rows % batch == 0 or rows == m_reps:
+            head = values[:filled]
+            total += float(head.sum())
+            total_sq += float(np.square(head, out=head).sum())
+            kept += filled
+            filled = 0
     if kept == 0:
         raise NullConditioningError("no replication satisfied the conditioning event")
     mean = total / kept

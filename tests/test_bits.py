@@ -1,10 +1,13 @@
-"""Bit-for-bit pins of the sampling path and of the laws.
+"""Bit-for-bit pins of the sampling path, of the laws and of the README simulations.
 
 The Monte-Carlo values below were recorded from the plain-expression
 implementation of the quantiles and of the detection count; each in-place
 rewrite of those paths must reproduce them exactly, not just closely.  The
 law values were recorded from the implementation that evaluated F afresh
-in every helper, before each public law computed F once per time.
+in every helper, before each public law computed F once per time.  The
+digests of the README ``simulate`` output were recorded from the
+implementation that drew each batch of up to 2**21 lifetimes as one array,
+before the simulation worked in cache-sized blocks.
 """
 
 import hashlib
@@ -29,6 +32,7 @@ from ordstat import (
     mc_inspection_pmf,
     mrl_summary,
 )
+from ordstat.cli import main
 from ordstat.joint import window_slopes
 from ordstat.oracle import first_observation_leq, order_stat_in_window, order_stat_leq
 
@@ -171,3 +175,25 @@ def test_laws_are_pinned(model):
     assert window_slopes(LAW_CFG, model, window) == pins["slopes"]
     summary = mrl_summary(LAW_CFG, model, window)
     assert (summary.phi, summary.psi, summary.truncation_bound) == pins["mrl"]
+
+
+# the two README simulate commands: sha256 of their stdout as CSV, then as JSON
+README_SIMULATE_PINS = [
+    ("simulate --target inspections --n 12 --r 5 --k 3 --model exp:1 --reps 1000000 --seed 1",
+     "32223c9a930ce62c1e46aed43dff600cad93ebc1cd2369721068d60a329771b7",
+     "bf656d63950375ebca6c8258e6999b6e8d4ad06790e66778c5f5e26ca6bcb1ee"),
+    ("simulate --target event --n 10 --r 4 --model exp:1 --x 1.5 --t1 1 --t2 2 --reps 500000",
+     "3a36be1b246c94b472fdee8599dfc663569539146cbba126cc835465fb5c4520",
+     "a326adb87e4d2b08334ad40347461680849f54054e6d899bfbf5d9c38519a3b2"),
+]
+
+
+@pytest.mark.parametrize("command,csv_digest,json_digest", README_SIMULATE_PINS,
+                         ids=["inspections", "event"])
+def test_readme_simulate_output_is_pinned(capsys, monkeypatch, command, csv_digest, json_digest):
+    monkeypatch.delenv("ORDSTAT_SEED", raising=False)  # the event command takes seed 0
+    for extra, digest in (([], csv_digest), (["--format", "json"], json_digest)):
+        assert main(command.split() + extra) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest

@@ -226,6 +226,24 @@ def test_conflicting_cond_modes_exit_two(capsys):
     assert "exactly one" in err
 
 
+@pytest.mark.parametrize(
+    "thresholds",
+    [
+        ["--t", "0.5", "--t1", "1", "--t2", "2"],
+        ["--t", "0.5", "--t1", "1"],
+        ["--t", "0.5", "--t2", "2"],
+    ],
+    ids=["t-and-window", "t-and-t1", "t-and-t2"],
+)
+def test_simulate_event_rejects_mixed_thresholds(capsys, thresholds):
+    code, out, err = run_cli(
+        capsys, "simulate", "--target", "event", "--n", "10", "--r", "4", "--model", "exp:1",
+        "--x", "1.5", *thresholds, "--reps", "1000", "--seed", "1",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: simulate --target event needs exactly one of --t or --t1/--t2\n"
+
+
 @pytest.mark.parametrize("flag", ["--x", "--t"])
 def test_simulate_nan_threshold_exits_two(capsys, flag):
     argv = ["simulate", "--target", "event", "--n", "5", "--r", "2", "--model", "exp:1",

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,15 +41,21 @@ def test_estimates_are_deterministic_given_seed():
     assert a.estimate != c.estimate
 
 
-@pytest.mark.parametrize("budget,n", [(None, 3000), (1000, 1), (1000, 12), (1000, 3000)])
+@pytest.mark.parametrize(
+    "budget,n", [(None, 3000), (None, 200), (1000, 1), (1000, 12), (1000, 3000)]
+)
 def test_batches_hold_at_most_the_element_budget(monkeypatch, budget, n):
     if budget is not None:
         monkeypatch.setattr(oracle, "_BATCH_ELEMENTS", budget)
     budget = oracle._BATCH_ELEMENTS
     rows = [samples.shape[0] for samples, _ in oracle._iter_batches(EXP, n, 2500, seed=1)]
     assert sum(rows) == 2500
-    # a batch is one replication when n alone passes the budget
+    # a batch, and a block, is one replication when n alone passes its budget
     assert all(count * n <= budget or count == 1 for count in rows)
+    assert all(count * n <= max(n, oracle._BLOCK_ELEMENTS) for count in rows)
+    # no block straddles the end of a batch
+    batch = max(1, budget // n)
+    assert set(range(batch, 2500, batch)) <= set(itertools.accumulate(rows))
 
 
 def test_estimates_do_not_depend_on_batching(monkeypatch):
@@ -58,9 +66,44 @@ def test_estimates_do_not_depend_on_batching(monkeypatch):
         return (mc_inspection_pmf(cfg, EXP, 3, 30_000, seed=8),
                 mc_event_prob(cfg, EXP, event, 30_000, seed=8, given=given))
 
+    def means():
+        return (mc_event_mean(cfg, EXP, lambda s, o: s[:, 0], 30_000, seed=8),
+                mc_event_mean(cfg, EXP, lambda s, o: s[:, 0], 30_000, seed=8, given=given))
+
     one_batch = estimates()
+    # blocks of 83 rows, since 12 does not divide 1000 lifetimes
+    monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 1000)
+    assert estimates() == one_batch
     monkeypatch.setattr(oracle, "_BATCH_ELEMENTS", 1000)
     assert estimates() == one_batch
+    # two batches of 20,000 and 10,000 rows, each one block, then cut into
+    # blocks of 83 rows, the last of each batch shorter
+    monkeypatch.setattr(oracle, "_BATCH_ELEMENTS", 12 * 20_000)
+    monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 12 * 20_000)
+    whole = means()
+    monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 1000)
+    assert means() == whole
+
+
+@pytest.mark.parametrize("n,reps", [(200, 2048), (12, 200_000)])
+def test_each_simulation_works_in_a_few_mebibytes(n, reps):
+    cfg = SystemConfig(n, n // 2)
+    event, given = first_observation_leq(1.0), order_stat_in_window(cfg, Window(0.3, 1.2))
+    calls = {
+        "mc_inspection_pmf": lambda: mc_inspection_pmf(cfg, EXP, 2, reps, seed=1),
+        "mc_event_prob": lambda: mc_event_prob(cfg, EXP, event, reps, seed=1, given=given),
+        "mc_event_mean": lambda: mc_event_mean(cfg, EXP, lambda s, o: s[:, 0], reps, seed=1),
+        "mc_event_mean given": lambda: mc_event_mean(
+            cfg, EXP, lambda s, o: s[:, 0], reps, seed=1, given=given),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, (name, peak)
 
 
 def test_sure_event_has_zero_error():
@@ -128,6 +171,22 @@ def test_observation_event_builder_uses_one_based_index():
     cfg = SystemConfig(3, 2)
     est1 = mc_event_prob(cfg, EXP, observation_leq(2, 1.0), 100_000, seed=3)
     assert abs(est1.estimate - EXP.cdf(1.0)) <= 4.0 * est1.std_error
+
+
+@pytest.mark.parametrize("index", [0, -1, 1.5, math.nan, math.inf, None, "2"])
+def test_observation_index_must_be_a_positive_integer(index):
+    with pytest.raises(DomainError, match="component index must be a positive integer"):
+        observation_leq(index, 1.0)
+
+
+def test_observation_index_beyond_the_sample_width_raises():
+    cfg = SystemConfig(3, 2)
+    with pytest.raises(DomainError, match="component index 4 exceeds the sample width n=3"):
+        mc_event_prob(cfg, EXP, observation_leq(4, 1.0), 100, seed=1)
+    # the last component, also given as an integral float
+    last = mc_event_prob(cfg, EXP, observation_leq(3, 1.0), 1000, seed=1)
+    assert mc_event_prob(cfg, EXP, observation_leq(3.0, 1.0), 1000, seed=1) == last
+    assert last == mc_event_prob(cfg, EXP, lambda s, o: s[:, 2] <= 1.0, 1000, seed=1)
 
 
 @pytest.mark.parametrize(
