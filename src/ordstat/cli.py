@@ -199,10 +199,14 @@ def _cmd_simulate(args, cfg: SystemConfig) -> Report:
     if args.target == "inspections":
         if args.k is None:
             raise DomainError("simulate --target inspections needs --k")
+        if any(v is not None for v in (args.x, args.t, args.t1, args.t2)):
+            raise DomainError("simulate --target inspections takes no --x, --t, --t1 or --t2")
         estimates = mc_inspection_pmf(cfg, model, args.k, args.reps, args.seed)
         records = [{"m": m, "estimate": _dec(e.estimate), "std_error": f"{e.std_error:.6e}",
                     "replications": e.replications} for m, e in estimates.items()]
         return Report(["m", "estimate", "std_error", "replications"], records)
+    if args.k is not None:
+        raise DomainError("simulate --target event takes no --k")
     if args.x is None:
         raise DomainError("simulate --target event needs --x")
     if args.t is not None and (args.t1 is not None or args.t2 is not None):

@@ -5,20 +5,20 @@ For an iid sample X_1, ..., X_n with continuous CDF F, the lifetime of an
 (n - r + 1)-out-of-n system is the r-th order statistic X_{r:n}.  This
 module evaluates:
 
-* the joint CDF P{X_1 <= x, X_{r:n} <= t} and its multi-observation
-  extension on the region where every observation argument is <= t,
+* the joint CDF P{X_1 <= x_1, ..., X_m <= x_m, X_{r:n} <= t} of m sample
+  elements and the order statistic, for any x_i and t, by ``_joint_prob``,
 * the conditional laws of X_1 given X_{r:n} <= t, given t1 <= X_{r:n} <= t2,
   and given X_{r:n} = t (the vanishing-window limit, which jumps by exactly
   1/n at x = t),
-* pairwise conditional joint CDFs of (X_1, X_2) under conditioning on the
-  sample extremes.
+* pairwise conditional joint CDFs of (X_1, X_2) given a sample extreme:
+  the same formula at m = 2 and r = 1 or n, over its value at m = 0.
 
 All closed forms are routed through upper binomial tails, which keeps a
 single code path valid for every 1 <= r <= n including r = 1 and r = n.
 
 Each public law computes F once per time it is given, F(x), F(t), F(t1)
 and F(t2), and hands those values to the private helpers ``_window_prob``,
-``_window_slopes`` and ``_joint_cdf_single``, which take F values rather
+``_window_slopes`` and ``_joint_prob``, which take F values rather
 than times.  A survival function S = 1 - F computed on its own would be
 evaluated in the public laws alongside F and passed to the helpers in the
 same way.
@@ -159,30 +159,43 @@ def window_slopes(cfg: SystemConfig, model: LifetimeModel, window: Window):
     return _window_slopes(cfg, window, model.cdf(window.t1), model.cdf(window.t2))
 
 
-def _joint_cdf_single(cfg: SystemConfig, x, t: float, fx, ft: float):
-    """joint_cdf_single from the checked x and t, fx = F(x) and ft = F(t)."""
-    n, r = cfg.n, cfg.r
-    below = binom_tail(n - 1, r - 1, ft)
-    above = binom_tail(n - 1, r, ft)
-    return _clip01(np.where(x > t, ft * below + (fx - ft) * above, fx * below))
+def _joint_prob(cfg: SystemConfig, fxs: Sequence, ft: float, above: bool = False):
+    """P{X_i <= x_i for i <= m, X_{r:n} <= t} from fxs = [F(x_1), ..., F(x_m)] and ft = F(t).
+
+    Element i fails by t with probability a_i = F(min(x_i, t)) and in (t, x_i]
+    with b_i = (F(x_i) - F(t))+, so e_j, the coefficient of z^j in
+    prod_i (b_i + a_i z), is the chance that j of them fail by t, and the law
+    is sum_j e_j P{Bin(n - m, F(t)) >= r - j}.  With ``above`` the event is
+    X_{r:n} > t, from the lower tails P{Bin(n - m, F(t)) <= r - 1 - j} taken
+    in 1 - F(t).  Each F(x_i) may be an array; m = 0 gives the event itself.
+    """
+    n, r, m = cfg.n, cfg.r, len(fxs)
+    e = [1.0]
+    for fx in fxs:
+        # the builtins cost a fifth of numpy's on scalars
+        least, most = (min, max) if isinstance(fx, float) else (np.minimum, np.maximum)
+        a, b = least(fx, ft), most(fx - ft, 0.0)
+        # the first factor is [b, a] itself, with no products by 1.0 or 0.0
+        e = [b, a] if len(e) == 1 else [
+            e[0] * b, *[e[j] * b + e[j - 1] * a for j in range(1, len(e))], e[-1] * a]
+    total = None
+    for j, coef in enumerate(e):
+        # a tail from lo <= 0 is 1 and one from lo > n - m is 0, on either side
+        lo = min(max(r - j, 0), n - m + 1)
+        tail = binom_tail(n - m, n - m + 1 - lo, 1.0 - ft) if above else binom_tail(n - m, lo, ft)
+        total = coef * tail if total is None else total + coef * tail
+    return total
 
 
 def joint_cdf_single(cfg: SystemConfig, model: LifetimeModel, x, t):
     """Joint CDF P{X_1 <= x, X_{r:n} <= t}, elementwise over an array x.
 
-    With below = P{Bin(n-1, F(t)) >= r-1} and above = P{Bin(n-1, F(t)) >= r}:
-    for x <= t this is F(x) below, since X_1 <= t leaves r - 1 of the other
-    n - 1 observations to fail by t.  For x > t it is
-
-        F(t) below + (F(x) - F(t)) above,
-
-    splitting on X_1 <= t and t < X_1 <= x; in the second case the other
-    observations must supply all r failures by t.  The two branches agree
-    at x = t, and the result is a CDF in each argument separately.
+    With below = P{Bin(n-1, F(t)) >= r-1} and above = P{Bin(n-1, F(t)) >= r}
+    it is F(x) below for x <= t and F(t) below + (F(x) - F(t)) above for x > t.
     """
     x = _check_times(x, "x")
     t = _check_time(t, "t")
-    return _joint_cdf_single(cfg, x, t, model.cdf(x), model.cdf(t))
+    return _clip01(_joint_prob(cfg, [model.cdf(x)], model.cdf(t)))
 
 
 def cond_cdf_given_leq(cfg: SystemConfig, model: LifetimeModel, x, t):
@@ -193,12 +206,11 @@ def cond_cdf_given_leq(cfg: SystemConfig, model: LifetimeModel, x, t):
     of an observation given that some observation is <= t.
     """
     # t and the event are checked before x
-    checked_t = _check_time(t, "t")
-    ft = model.cdf(checked_t)
+    ft = model.cdf(_check_time(t, "t"))
     denom = binom_tail(cfg.n, cfg.r, ft)
     _check_event(denom, f"{{X_({cfg.r}:{cfg.n}) <= {t}}}")
     x = _check_times(x, "x")
-    return _clip01(_joint_cdf_single(cfg, x, checked_t, model.cdf(x), ft) / denom)
+    return _clip01(_joint_prob(cfg, [model.cdf(x)], ft) / denom)
 
 
 def cond_cdf_between(cfg: SystemConfig, model: LifetimeModel, x, window: Window):
@@ -252,26 +264,17 @@ def _checked_observations(cfg: SystemConfig, xs: Sequence, t) -> tuple[list[floa
     values = [_check_time(x, "x") for x in xs]
     if not 1 <= len(values) <= cfg.n:
         raise DomainError(f"need between 1 and n={cfg.n} observations, got {len(values)}")
-    for x in values:
-        if x > t:
-            raise DomainError(f"every observation argument must be <= t, got x={x} > t={t}")
     return values, t
 
 
 def joint_cdf_multi(cfg: SystemConfig, model: LifetimeModel, xs: Iterable, t) -> float:
-    """Joint CDF P{X_1 <= x_1, ..., X_k <= x_k, X_{r:n} <= t} for all x_i <= t.
+    """Joint CDF P{X_1 <= x_1, ..., X_k <= x_k, X_{r:n} <= t} for any x_i and t.
 
-    For k < r this is prod F(x_i) times the Bin(n - k, F(t)) upper tail at
-    r - k; for k >= r the order-statistic event is implied by the x_i and the
-    product of marginals remains.  Arguments with any x_i > t are rejected:
-    the law is only evaluated on the region where it takes this product form.
+    The law of _joint_prob; where every x_i <= t it is prod F(x_i) times
+    P{Bin(n - k, F(t)) >= r - k}, which is 1 for k >= r.
     """
     values, t = _checked_observations(cfg, list(xs), t)
-    k = len(values)
-    prod = math.prod(model.cdf(x) for x in values)
-    if k >= cfg.r:
-        return _clip01(prod)
-    return _clip01(prod * binom_tail(cfg.n - k, cfg.r - k, model.cdf(t)))
+    return _clip01(_joint_prob(cfg, [model.cdf(x) for x in values], model.cdf(t)))
 
 
 def joint_pdf_multi(cfg: SystemConfig, model: LifetimeModel, xs: Iterable, t) -> float:
@@ -285,6 +288,8 @@ def joint_pdf_multi(cfg: SystemConfig, model: LifetimeModel, xs: Iterable, t) ->
     and the density reduces to prod f(x_i).
     """
     values, t = _checked_observations(cfg, list(xs), t)
+    if max(values) > t:
+        raise DomainError(f"every observation argument must be <= t, got x={max(values)} > t={t}")
     k = len(values)
     n, r = cfg.n, cfg.r
     prod = math.prod(model.pdf(x) for x in values)
@@ -298,43 +303,33 @@ def joint_pdf_multi(cfg: SystemConfig, model: LifetimeModel, xs: Iterable, t) ->
     return math.exp(log_coef + log_powers) * model.pdf(t) * prod
 
 
+# conditioning -> (the sample extreme, whether the event is X > t)
+_PAIR_EVENTS = {"max_leq": ("max", False), "min_leq": ("min", False), "min_gt": ("min", True)}
+
+
 def pair_cond_joint_cdf(
     cfg: SystemConfig, model: LifetimeModel, x1, x2, t, conditioning: str
 ) -> float:
     """Joint conditional CDF P{X_1 <= x1, X_2 <= x2 | event on a sample extreme}.
 
-    conditioning selects the event:
-
-    * ``"max_leq"``: X_{n:n} <= t.  The pair factorizes into iid truncated
-      marginals F(min(x_i, t)) / F(t).
-    * ``"min_leq"``: X_{1:n} <= t.  The pair is dependent:
-      [F(x1)F(x2) - (F(x1)-F(t))+ (F(x2)-F(t))+ (1-F(t))^(n-2)] / (1-(1-F(t))^n).
-    * ``"min_gt"``: X_{1:n} > t.  The pair factorizes into iid left-truncated
-      marginals (F(x_i) - F(t)) / (1 - F(t)), zero when either x_i <= t.
+    conditioning selects the event: ``"max_leq"`` is X_{n:n} <= t,
+    ``"min_leq"`` is X_{1:n} <= t and ``"min_gt"`` is X_{1:n} > t.  The law
+    is _joint_prob with two elements, r = n or r = 1, divided by the event
+    probability, _joint_prob with none.  Given the maximum the pair is iid
+    with marginals F(min(x_i, t)) / F(t), and given X_{1:n} > t iid with
+    (F(x_i) - F(t))+ / (1 - F(t)); given X_{1:n} <= t it is dependent.
     """
     if cfg.n < 2:
         raise DomainError("pair laws need a system of at least two components")
-    x1 = _check_time(x1, "x1")
-    x2 = _check_time(x2, "x2")
-    t = _check_time(t, "t")
-    f1, f2, ft = model.cdf(x1), model.cdf(x2), model.cdf(t)
-    n = cfg.n
-    if conditioning == "max_leq":
-        event = ft**n
-        _check_event(event, f"{{X_({n}:{n}) <= {t}}}")
-        return _clip01(min(f1, ft) * min(f2, ft) / ft**2)
-    if conditioning == "min_leq":
-        event = 1.0 - (1.0 - ft) ** n
-        _check_event(event, f"{{X_(1:{n}) <= {t}}}")
-        raw = f1 * f2 - max(f1 - ft, 0.0) * max(f2 - ft, 0.0) * (1.0 - ft) ** (n - 2)
-        return _clip01(raw / event)
-    if conditioning == "min_gt":
-        event = (1.0 - ft) ** n
-        _check_event(event, f"{{X_(1:{n}) > {t}}}")
-        if x1 <= t or x2 <= t:
-            return 0.0
-        return _clip01((f1 - ft) * (f2 - ft) / (1.0 - ft) ** 2)
-    raise DomainError(f"unknown conditioning {conditioning!r}; expected max_leq, min_leq or min_gt")
+    if conditioning not in _PAIR_EVENTS:
+        raise DomainError(f"unknown conditioning {conditioning!r}; expected max_leq, min_leq or min_gt")
+    x1, x2, t = _check_time(x1, "x1"), _check_time(x2, "x2"), _check_time(t, "t")
+    extreme, above = _PAIR_EVENTS[conditioning]
+    pair_cfg = SystemConfig(cfg.n, cfg.n if extreme == "max" else 1)
+    ft = model.cdf(t)
+    event = _joint_prob(pair_cfg, [], ft, above)
+    _check_event(event, f"{{X_({pair_cfg.r}:{cfg.n}) {'>' if above else '<='} {t}}}")
+    return _clip01(_joint_prob(pair_cfg, [model.cdf(x1), model.cdf(x2)], ft, above) / event)
 
 
 # law name -> the x-law that eval_grid evaluates

@@ -105,7 +105,13 @@ class LifetimeModel(ABC):
 
     def quantile(self, u):
         """Smallest x with F(x) >= u, for u strictly inside (0, 1)."""
-        return _finish(self._transform(np.array(u, dtype=float)))
+        u = np.array(u, dtype=float)
+        # two reductions and no temporaries; NaN fails both comparisons, and
+        # the initial 0.5 lets an empty array through
+        if not (u.min(initial=0.5) > 0.0 and u.max(initial=0.5) < 1.0):
+            raise DomainError("probability argument must lie strictly inside (0, 1)")
+        with np.errstate(over="ignore"):
+            return _finish(self._from_uniform(u))
 
     def pdf(self, x):
         """Density F'(x); models without one raise DensityUnsupportedError."""
@@ -117,7 +123,9 @@ class LifetimeModel(ABC):
         # rng.random can return exactly 0.0, which the quantile rejects
         if not u.all():
             u[u == 0.0] = np.nextafter(0.0, 1.0)
-        return _finish(self._transform(u))
+        # u now lies strictly inside (0, 1), so quantile's check is not needed
+        with np.errstate(over="ignore"):
+            return _finish(self._from_uniform(u))
 
     def partial_moment(self, a: float, b: float) -> float:
         """The integral of x dF(x) over [a, b], for 0 <= a <= b <= inf.
@@ -128,15 +136,6 @@ class LifetimeModel(ABC):
         DensityUnsupportedError.
         """
         raise DensityUnsupportedError(f"{type(self).__name__} does not expose a density")
-
-    def _transform(self, u):
-        """Check the owned float64 array ``u`` and overwrite it with its quantile."""
-        # two reductions and no temporaries; NaN fails both comparisons, and
-        # the initial 0.5 lets an empty array through
-        if not (u.min(initial=0.5) > 0.0 and u.max(initial=0.5) < 1.0):
-            raise DomainError("probability argument must lie strictly inside (0, 1)")
-        with np.errstate(over="ignore"):
-            return self._from_uniform(u)
 
 
 class Exponential(LifetimeModel):

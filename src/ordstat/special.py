@@ -8,9 +8,10 @@ function is exactly such a tail:
               = sum_{j=a}^{a+b-1} C(a+b-1, j) p^j (1-p)^(a+b-1-j)
 
 The tail is I_p(lo, n - lo + 1) from ``scipy.special.betainc`` (Boost's
-``ibeta``), which keeps full relative precision deep in the tails and for
-any n, where a term-by-term sum overflows for n above about 1030 and
-underflows tails as small as 1e-209 to zero.
+``ibeta``), which works for any n.  At n <= 300 it is within 7e-14 relative of
+exact sums down to tails of about 1e-280, but not below: binom_tail(105, 72,
+3.961504368954634e-05) is 1.5e-4 relative off its exact 2.25774e-290, and
+binom_tail(244, 219, 0.03056652865190136) is 0.0 against 7.49e-299.
 """
 
 from __future__ import annotations

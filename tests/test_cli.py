@@ -244,6 +244,28 @@ def test_simulate_event_rejects_mixed_thresholds(capsys, thresholds):
     assert err == "error: simulate --target event needs exactly one of --t or --t1/--t2\n"
 
 
+@pytest.mark.parametrize(
+    "extra", [["--x", "1"], ["--t", "1"], ["--t1", "0.5"], ["--t2", "2"]],
+    ids=["x", "t", "t1", "t2"],
+)
+def test_simulate_inspections_rejects_event_inputs(capsys, extra):
+    code, out, err = run_cli(
+        capsys, "simulate", "--target", "inspections", "--n", "6", "--r", "4", "--k", "2",
+        "--model", "exp:1", *extra, "--reps", "100", "--seed", "2",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: simulate --target inspections takes no --x, --t, --t1 or --t2\n"
+
+
+def test_simulate_event_rejects_k(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--target", "event", "--n", "5", "--r", "2", "--k", "1",
+        "--model", "exp:1", "--x", "1", "--t", "1", "--reps", "100", "--seed", "2",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: simulate --target event takes no --k\n"
+
+
 @pytest.mark.parametrize("flag", ["--x", "--t"])
 def test_simulate_nan_threshold_exits_two(capsys, flag):
     argv = ["simulate", "--target", "event", "--n", "5", "--r", "2", "--model", "exp:1",

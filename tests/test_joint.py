@@ -340,14 +340,32 @@ def test_multi_cdf_against_monte_carlo():
     assert abs(est.estimate - exact) <= 3.0 * est.std_error
 
 
-def test_multi_cdf_rejects_observation_above_threshold():
+def test_multi_laws_reject_bad_observation_arguments():
     cfg = SystemConfig(6, 4)
-    with pytest.raises(DomainError):
-        joint_cdf_multi(cfg, EXP, [0.5, 1.5], 1.0)
     with pytest.raises(DomainError):
         joint_cdf_multi(cfg, EXP, [], 1.0)
     with pytest.raises(DomainError):
         joint_cdf_multi(cfg, EXP, [0.1] * 7, 1.0)
+    # the density is only defined where every x_i <= t
+    with pytest.raises(DomainError):
+        joint_pdf_multi(cfg, EXP, [0.5, 1.5], 1.0)
+
+
+def test_multi_cdf_with_observations_above_threshold_against_monte_carlo():
+    # two of the three observation arguments lie above t
+    cfg = SystemConfig(8, 3)
+    xs, t = (0.3, 1.5, 2.5), 0.9
+    est = mc_event_prob(
+        cfg,
+        EXP,
+        lambda s, o: (s[:, 0] <= xs[0]) & (s[:, 1] <= xs[1]) & (s[:, 2] <= xs[2])
+        & order_stat_leq(cfg, t)(s, o),
+        400_000,
+        seed=5,
+    )
+    exact = joint_cdf_multi(cfg, EXP, xs, t)
+    assert exact == pytest.approx(0.182533, abs=1e-6)
+    assert abs(est.estimate - exact) <= 3.0 * est.std_error
 
 
 def test_multi_pdf_reduces_to_product_when_k_reaches_r():
@@ -445,6 +463,19 @@ def test_pair_given_min_leq_does_not_factorize():
         joint = pair_cond_joint_cdf(cfg, EXP, x, x, t, "min_leq")
         marginal = cond_cdf_given_leq(cfg, EXP, x, t)
         assert abs(joint - marginal * marginal) > 1e-6
+
+
+def test_pair_given_min_leq_keeps_relative_precision_near_zero():
+    cfg = SystemConfig(5, 1)
+    # P{X_1, X_2 <= t/2} / P{X_(1:5) <= t} = (1 - e^(-t/2))^2 / (1 - e^(-5t))
+    t = 1e-10
+    value = pair_cond_joint_cdf(cfg, EXP, t / 2, t / 2, t, "min_leq")
+    assert value == pytest.approx(5.000000001e-12, rel=1e-15)
+    # F(t) = 1e-17 is lost in 1 - F(t), but not in the binomial tails
+    t = 1e-17
+    assert pair_cond_joint_cdf(cfg, EXP, t / 2, t / 2, t, "min_leq") == pytest.approx(
+        5e-19, rel=1e-15
+    )
 
 
 def test_pair_rejects_unknown_conditioning_and_small_systems():
