@@ -135,13 +135,13 @@ def _grid_records(grid, **extra) -> list[dict]:
 def _cmd_joint(args, cfg: SystemConfig) -> Report:
     model = parse_model(args.model)
     xs = _x_grid(args, model)
-    if args.t_grid:
+    if (args.t is None) == (args.t_grid is None):
+        raise DomainError("joint-cdf needs exactly one of --t or --t-grid")
+    if args.t_grid is not None:
         records = []
         for t in parse_grid(args.t_grid):
             records += _grid_records(eval_grid(cfg, model, xs, "joint", t=t), t=t)
         return Report(["t", "x", "value"], records)
-    if args.t is None:
-        raise DomainError("joint-cdf needs --t or --t-grid")
     grid = eval_grid(cfg, model, xs, "joint", t=args.t)
     return Report(["x", "value"], _grid_records(grid))
 
@@ -211,18 +211,14 @@ def _cmd_simulate(args, cfg: SystemConfig) -> Report:
         raise DomainError("simulate --target event needs --x")
     if args.t is not None and (args.t1 is not None or args.t2 is not None):
         raise DomainError("simulate --target event needs exactly one of --t or --t1/--t2")
-    windowed = args.t1 is not None and args.t2 is not None
-    if windowed:
-        estimate = mc_event_prob(
-            cfg, model, first_observation_leq(args.x), args.reps, args.seed,
-            given=order_stat_in_window(cfg, Window(args.t1, args.t2)),
-        )
+    event = first_observation_leq(args.x)
+    if args.t1 is not None and args.t2 is not None:
+        window = order_stat_in_window(cfg, Window(args.t1, args.t2))
+        estimate = mc_event_prob(cfg, model, event, args.reps, args.seed, given=window)
     elif args.t is not None:
-        event = first_observation_leq(args.x)
         stat_event = order_stat_leq(cfg, args.t)
-        estimate = mc_event_prob(
-            cfg, model, lambda s, o: event(s, o) & stat_event(s, o), args.reps, args.seed,
-        )
+        estimate = mc_event_prob(cfg, model, lambda s, o: event(s, o) & stat_event(s, o),
+                                 args.reps, args.seed)
     else:
         raise DomainError("simulate --target event needs --t, or both --t1 and --t2")
     header = ["estimate", "std_error", "replications", "conditioned_fraction"]
@@ -324,14 +320,10 @@ def main(argv=None) -> int:
         if "seed" in vars(args):  # resolved here, so meta records the seed used
             args.seed = _seed(args.seed)
         report = args.handler(args, cfg)
+        _emit(_render(_meta(args), report, args.format), args.output)
     except OrdstatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        _emit(_render(_meta(args), report, args.format), args.output)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

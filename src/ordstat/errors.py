@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy shared across the library, and its two argument rules:
+``_integer``, the one integer check, and ``_real``.  Each returns the
+converted value and formats its message only on failure."""
 
 __all__ = [
     "OrdstatError",
@@ -27,3 +29,22 @@ class DensityUnsupportedError(OrdstatError):
 
 class EnumerationSizeError(DomainError):
     """Exhaustive enumeration was requested for too large a sample."""
+
+
+def _integer(value, lo, hi, rule: str) -> int:
+    """int(value) for an integer in [lo, hi] (12, 12.0, numpy.int64(12)); else DomainError."""
+    try:
+        number = int(value)
+        if number == value and lo <= number <= hi:
+            return number
+    except (TypeError, ValueError, OverflowError):  # None, NaN, an infinity, text
+        pass
+    raise DomainError(f"{rule}, got {value!r}")
+
+
+def _real(value, rule: str) -> float:
+    """float(value), or DomainError(f"{rule}, got {value!r}") where float() fails."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):  # None, text
+        raise DomainError(f"{rule}, got {value!r}") from None

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, perm
 
-from .errors import DomainError
+from .errors import DomainError, _integer
 from .system import SystemConfig
 
 __all__ = [
@@ -52,9 +52,8 @@ def lambda_coeff(cfg: SystemConfig, j: int) -> Fraction:
     falling factorial, for 1 <= j <= r - 1; distribution-free for continuous
     lifetimes.
     """
-    if int(j) != j or not 1 <= j <= cfg.r - 1:
-        raise DomainError(f"j must satisfy 1 <= j <= r - 1 = {cfg.r - 1}, got {j!r}")
-    return Fraction(perm(cfg.r - 1, int(j)), perm(cfg.n, int(j)))
+    j = _integer(j, 1, cfg.r - 1, "j must satisfy 1 <= j <= r - 1")
+    return Fraction(perm(cfg.r - 1, j), perm(cfg.n, j))
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,7 @@ class InspectionPmf:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        self.cfg.validate_k(self.k)
+        object.__setattr__(self, "k", self.cfg.validate_k(self.k))
         expected_support = tuple(self.cfg.detection_support(self.k))
         if self.support != expected_support:
             raise DomainError(
@@ -96,8 +95,7 @@ class InspectionPmf:
 
 def inspection_pmf(cfg: SystemConfig, k: int) -> InspectionPmf:
     """Exact pmf of the inspection count over its support m = k .. n - r + k + 1."""
-    cfg.validate_k(k)
-    k = int(k)
+    k = cfg.validate_k(k)
     n, r = cfg.n, cfg.r
     support = tuple(cfg.detection_support(k))
     total = comb(n, r - 1)

@@ -59,10 +59,13 @@ NULL_EVENT_FLOOR = 1e-300
 
 
 def _check_time(value, name: str = "time") -> float:
-    v = float(value)
-    if math.isnan(v) or v < 0.0:
-        raise DomainError(f"{name} must be a nonnegative time, got {value!r}")
-    return v
+    try:
+        v = float(value)
+        if v >= 0.0:  # false for NaN
+            return v
+    except (TypeError, ValueError):  # None, text
+        pass
+    raise DomainError(f"{name} must be a nonnegative time, got {value!r}")
 
 
 def _check_times(values, name: str = "x") -> np.ndarray:
@@ -353,14 +356,16 @@ def eval_grid(
 ) -> EvalGrid:
     """Evaluate one of the x-laws over an increasing grid of x values.
 
-    ``law`` is one of ``"joint"``, ``"given_leq"``, ``"given_eq"`` (all of
-    which need ``t``) or ``"between"`` (which needs ``window``).
+    ``law`` is ``"joint"``, ``"given_leq"`` or ``"given_eq"``, which need ``t``
+    and no window, or ``"between"``, which needs ``window`` and no ``t``.
     """
     if law not in _GRID_LAWS:
         raise DomainError(f"unknown law {law!r}; expected one of {LAWS}")
     between = law == "between"
-    arg = window if between else t
+    arg, extra = (window, t) if between else (t, window)
     if arg is None:
         raise DomainError(f"law {law!r} needs {'a window' if between else 'a threshold t'}")
+    if extra is not None:
+        raise DomainError(f"law {law!r} takes no {'t' if between else 'window'}")
     points = np.asarray(xs, dtype=float)
     return EvalGrid(points, _GRID_LAWS[law](cfg, model, points, arg))

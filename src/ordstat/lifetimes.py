@@ -31,7 +31,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 from scipy.special import gamma, gammainc, gammaincc
 
-from .errors import DensityUnsupportedError, DomainError
+from .errors import DensityUnsupportedError, DomainError, _real
 
 __all__ = [
     "LifetimeModel",
@@ -56,6 +56,7 @@ _SATURATION = 1000.0
 
 # smallest Weibull shape; _SATURATION ** (1 / _MIN_SHAPE) = 1e300 is finite
 _MIN_SHAPE = 0.01
+_SHAPE_RULE = f"shape must be a finite number >= {_MIN_SHAPE}"
 
 
 def _clip_time(arr, x_max):
@@ -63,7 +64,7 @@ def _clip_time(arr, x_max):
 
 
 def _check_interval(a, b):
-    a, b = float(a), float(b)
+    a, b = _real(a, "need 0 <= a <= b"), _real(b, "need 0 <= a <= b")
     if not 0.0 <= a <= b:  # also false for a NaN end
         raise DomainError(f"need 0 <= a <= b, got [{a!r}, {b!r}]")
     return a, b
@@ -142,7 +143,7 @@ class Exponential(LifetimeModel):
     """Exponential(rate): F(x) = 1 - exp(-rate * x)."""
 
     def __init__(self, rate: float):
-        rate = float(rate)
+        rate = _real(rate, "rate must be a positive finite number")
         if not math.isfinite(rate) or rate <= 0.0:
             raise DomainError(f"rate must be a positive finite number, got {rate!r}")
         self.rate = rate
@@ -174,9 +175,10 @@ class Weibull(LifetimeModel):
     """Weibull(shape, scale): F(x) = 1 - exp(-(x / scale)**shape)."""
 
     def __init__(self, shape: float, scale: float):
-        shape, scale = float(shape), float(scale)
+        shape = _real(shape, _SHAPE_RULE)
+        scale = _real(scale, "scale must be a positive finite number")
         if not math.isfinite(shape) or shape < _MIN_SHAPE:
-            raise DomainError(f"shape must be a finite number >= {_MIN_SHAPE}, got {shape!r}")
+            raise DomainError(f"{_SHAPE_RULE}, got {shape!r}")
         if not math.isfinite(scale) or scale <= 0.0:
             raise DomainError(f"scale must be a positive finite number, got {scale!r}")
         self.shape = shape
@@ -218,7 +220,7 @@ class Uniform(LifetimeModel):
     """Uniform(lo, hi) on [lo, hi] with 0 <= lo < hi."""
 
     def __init__(self, lo: float, hi: float):
-        lo, hi = float(lo), float(hi)
+        lo, hi = _real(lo, "bounds must be finite"), _real(hi, "bounds must be finite")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError(f"bounds must be finite, got ({lo!r}, {hi!r})")
         if not 0.0 <= lo < hi:

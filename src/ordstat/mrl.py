@@ -85,36 +85,28 @@ def cond_pdf_between(cfg: SystemConfig, model: LifetimeModel, x, window: Window)
     return _finish(np.select([x < window.t1, x <= window.t2], [low, mid], high) * model.pdf(x))
 
 
-def _partial_expectation(cfg, model, window):
-    """E{X_1 | window event} and the bound on its rounding error."""
-    regions = ((0.0, window.t1), (window.t1, window.t2), (window.t2, math.inf))
-    m0, m1, m2 = (model.partial_moment(a, b) for a, b in regions)
-    # LifetimeModel.partial_moment(a, b) subtracts two terms no larger than
-    # the smaller of the moments over [0, b] and [a, inf)
-    sizes = (m0, min(m0 + m1, m1 + m2), m2)
-    slopes = window_slopes(cfg, model, window)
-    total = sum(c * m for c, m in zip(slopes, (m0, m1, m2)))
-    bound = ROUNDING_ULPS * sys.float_info.epsilon * sum(abs(c) * m for c, m in zip(slopes, sizes))
-    return total, bound
-
-
 def mean_residual(cfg: SystemConfig, model: LifetimeModel, window: Window) -> float:
     """Signed expected residual E{X_1 - t2 | t1 <= X_{r:n} <= t2}.
 
     Negative whenever the inspected component is expected to have failed
     before the window's right edge.
     """
-    total, _ = _partial_expectation(cfg, model, window)
-    return total - window.t2
+    return mrl_summary(cfg, model, window).phi
 
 
 def mean_past(cfg: SystemConfig, model: LifetimeModel, window: Window) -> float:
     """Expected distance into the past, E{t2 - X_1 | t1 <= X_{r:n} <= t2}."""
-    total, _ = _partial_expectation(cfg, model, window)
-    return window.t2 - total
+    return mrl_summary(cfg, model, window).psi
 
 
 def mrl_summary(cfg: SystemConfig, model: LifetimeModel, window: Window) -> MrlSummary:
     """Mean residual life and mean past in one pass, with the error bound."""
-    total, bound = _partial_expectation(cfg, model, window)
+    regions = ((0.0, window.t1), (window.t1, window.t2), (window.t2, math.inf))
+    m0, m1, m2 = (model.partial_moment(a, b) for a, b in regions)
+    # LifetimeModel.partial_moment(a, b) subtracts two terms no larger than
+    # the smaller of the moments over [0, b] and [a, inf)
+    sizes = (m0, min(m0 + m1, m1 + m2), m2)
+    slopes = window_slopes(cfg, model, window)
+    total = sum(c * m for c, m in zip(slopes, (m0, m1, m2)))  # E{X_1 | window event}
+    bound = ROUNDING_ULPS * sys.float_info.epsilon * sum(abs(c) * m for c, m in zip(slopes, sizes))
     return MrlSummary(window.t1, window.t2, total - window.t2, window.t2 - total, bound)

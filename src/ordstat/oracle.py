@@ -41,12 +41,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb, inf, sqrt
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EnumerationSizeError, NullConditioningError
+from .errors import DomainError, EnumerationSizeError, NullConditioningError, _integer
 from .inspections import InspectionPmf
 from .joint import _check_time
 from .lifetimes import LifetimeModel
@@ -94,7 +94,8 @@ def observation_leq(index: int, x) -> EventFn:
 
     The index must not exceed n, which is checked when the event is evaluated.
     """
-    index, x = _positive_int(index, "component index"), _check_time(x, "x")
+    index = _integer(index, 1, inf, "component index must be a positive integer")
+    x = _check_time(x, "x")
 
     def event(samples, ordered):
         n = samples.shape[1]
@@ -138,18 +139,10 @@ def _iter_batches(model: LifetimeModel, n: int, m_reps: int, seed: int):
             yield samples, np.sort(samples, axis=1)
 
 
-def _positive_int(value, name: str) -> int:
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):  # None, NaN, an infinity
-        number = 0
-    if number != value or number < 1:
-        raise DomainError(f"{name} must be a positive integer, got {value!r}")
-    return number
-
-
-def _check_reps(m_reps: int) -> int:
-    return _positive_int(m_reps, "replication count")
+def _check_run(m_reps: int, seed: int) -> tuple[int, int]:
+    """The replication count, a positive integer, and the seed, a nonnegative one."""
+    return (_integer(m_reps, 1, inf, "replication count must be a positive integer"),
+            _integer(seed, 0, inf, "seed must be a nonnegative integer"))
 
 
 def mc_event_prob(
@@ -168,7 +161,7 @@ def mc_event_prob(
     ``given`` the estimate is conditional (rejection sampling), and the
     standard error reflects the accepted count only.
     """
-    m_reps = _check_reps(m_reps)
+    m_reps, seed = _check_run(m_reps, seed)
     hits = 0
     kept = 0
     for samples, ordered in _iter_batches(model, cfg.n, m_reps, seed):
@@ -200,7 +193,7 @@ def mc_event_mean(
     ``statistic`` maps (samples, ordered) to a float vector; the standard
     error is the sample standard deviation over sqrt(accepted count).
     """
-    m_reps = _check_reps(m_reps)
+    m_reps, seed = _check_run(m_reps, seed)
     batch = _rows(_BATCH_ELEMENTS, cfg.n)
     # the kept values of the current batch, summed when its last block is in
     values = np.empty(min(batch, m_reps))
@@ -248,9 +241,8 @@ def mc_inspection_pmf(
     holds fewer than r - 1 failures, so its k-th one may come later than
     n - r + k + 1 or not at all, and the shortfall is not reported.
     """
-    cfg.validate_k(k)
-    m_reps = _check_reps(m_reps)
-    k = int(k)
+    k = cfg.validate_k(k)
+    m_reps, seed = _check_run(m_reps, seed)
     n = cfg.n
     counts = np.zeros(n + 1, dtype=np.int64)
     for samples, ordered in _iter_batches(model, n, m_reps, seed):
@@ -280,8 +272,7 @@ def exhaustive_inspection_pmf(cfg: SystemConfig, k: int) -> InspectionPmf:
     """
     if cfg.n > 20:
         raise EnumerationSizeError(f"exhaustive enumeration is limited to n <= 20, got n={cfg.n}")
-    cfg.validate_k(k)
-    k = int(k)
+    k = cfg.validate_k(k)
     counts = dict.fromkeys(cfg.detection_support(k), 0)
     for failed in itertools.combinations(range(1, cfg.n + 1), cfg.r - 1):
         counts[failed[k - 1]] += 1

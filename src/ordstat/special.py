@@ -16,11 +16,11 @@ binom_tail(244, 219, 0.03056652865190136) is 0.0 against 7.49e-299.
 
 from __future__ import annotations
 
-from math import isnan
+from math import inf
 
 from scipy.special import betainc
 
-from .errors import DomainError
+from .errors import DomainError, _integer, _real
 
 __all__ = ["binom_tail", "reg_inc_beta"]
 
@@ -32,19 +32,16 @@ def binom_tail(n_trials: int, lo: int, p: float) -> float:
     tail, exactly 0); both boundary values are forced by the empty and full
     sum conventions.
     """
-    if int(n_trials) != n_trials or n_trials < 0:
-        raise DomainError(f"n_trials must be a nonnegative integer, got {n_trials!r}")
-    if int(lo) != lo or not 0 <= lo <= n_trials + 1:
-        raise DomainError(
-            f"lo must satisfy 0 <= lo <= n_trials + 1, got lo={lo!r} with n_trials={n_trials}"
-        )
-    if isnan(p) or not 0.0 <= p <= 1.0:
+    n_trials = _integer(n_trials, 0, inf, "n_trials must be a nonnegative integer")
+    lo = _integer(lo, 0, n_trials + 1, "lo must satisfy 0 <= lo <= n_trials + 1")
+    p = _real(p, "p must lie in [0, 1]")
+    if not 0.0 <= p <= 1.0:  # also true for NaN
         raise DomainError(f"p must lie in [0, 1], got {p!r}")
     if lo == 0:
         return 1.0
     if lo == n_trials + 1:
         return 0.0
-    return float(betainc(int(lo), int(n_trials) - int(lo) + 1, p))
+    return float(betainc(lo, n_trials - lo + 1, p))
 
 
 def reg_inc_beta(a: int, b: int, p: float) -> float:
@@ -53,8 +50,6 @@ def reg_inc_beta(a: int, b: int, p: float) -> float:
     Evaluated through the identity I_p(a, b) = binom_tail(a + b - 1, a, p).
     I_0 = 0, I_1 = 1, and the value is nondecreasing in p.
     """
-    if int(a) != a or a < 1:
-        raise DomainError(f"shape a must be an integer >= 1, got {a!r}")
-    if int(b) != b or b < 1:
-        raise DomainError(f"shape b must be an integer >= 1, got {b!r}")
+    a = _integer(a, 1, inf, "shape a must be an integer >= 1")
+    b = _integer(b, 1, inf, "shape b must be an integer >= 1")
     return binom_tail(a + b - 1, a, p)

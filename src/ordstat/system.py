@@ -1,11 +1,12 @@
-"""Shared configuration types: the system layout and inspection windows."""
+"""Shared configuration types: the system layout (n, r and a detection target
+k, each checked and converted to int by ``errors._integer``) and inspection windows."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _integer
 
 __all__ = ["SystemConfig", "Window"]
 
@@ -23,19 +24,17 @@ class SystemConfig:
     r: int
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise DomainError(f"n must be an integer >= 1, got {self.n!r}")
-        if int(self.r) != self.r or not 1 <= self.r <= self.n:
-            raise DomainError(f"r must satisfy 1 <= r <= n, got r={self.r!r} with n={self.n}")
+        n = _integer(self.n, 1, math.inf, "n must be an integer >= 1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", _integer(self.r, 1, n, "r must satisfy 1 <= r <= n"))
 
-    def validate_k(self, k: int) -> None:
-        """Check 1 <= k < r for a detection target k."""
-        if int(k) != k or not 1 <= k <= self.r - 1:
-            raise DomainError(f"k must satisfy 1 <= k < r, got k={k!r} with r={self.r}")
+    def validate_k(self, k: int) -> int:
+        """A detection target k as an int, checked 1 <= k < r."""
+        return _integer(k, 1, self.r - 1, "k must satisfy 1 <= k < r")
 
     def detection_support(self, k: int) -> range:
         """Possible inspection counts for finding k failures: k .. n - r + k + 1."""
-        self.validate_k(k)
+        k = self.validate_k(k)
         return range(k, self.n - self.r + k + 2)
 
 
@@ -47,7 +46,11 @@ class Window:
     t2: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.t1) and math.isfinite(self.t2)):
+        try:
+            finite = math.isfinite(self.t1) and math.isfinite(self.t2)
+        except TypeError:  # None, text
+            finite = False
+        if not finite:
             raise DomainError(f"window endpoints must be finite, got ({self.t1!r}, {self.t2!r})")
         if not 0.0 <= self.t1 < self.t2:
             raise DomainError(f"window must satisfy 0 <= t1 < t2, got ({self.t1!r}, {self.t2!r})")

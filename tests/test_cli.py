@@ -266,6 +266,18 @@ def test_simulate_event_rejects_k(capsys):
     assert err == "error: simulate --target event takes no --k\n"
 
 
+@pytest.mark.parametrize(
+    "given", [[], ["--t", "2", "--t-grid", "0.5:1:0.5"]], ids=["neither", "both"]
+)
+def test_joint_cdf_needs_exactly_one_of_t_or_t_grid(capsys, given):
+    code, out, err = run_cli(
+        capsys, "joint-cdf", "--n", "5", "--r", "2", "--model", "exp:1", *given,
+        "--x-grid", "0:1:0.5", "--format", "json",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: joint-cdf needs exactly one of --t or --t-grid\n"
+
+
 @pytest.mark.parametrize("flag", ["--x", "--t"])
 def test_simulate_nan_threshold_exits_two(capsys, flag):
     argv = ["simulate", "--target", "event", "--n", "5", "--r", "2", "--model", "exp:1",

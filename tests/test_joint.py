@@ -541,6 +541,10 @@ def test_eval_grid_dispatch_and_validation():
         eval_grid(cfg, EXP, xs, "between")  # missing window
     with pytest.raises(DomainError):
         eval_grid(cfg, EXP, xs, "nonsense", t=1.0)
+    with pytest.raises(DomainError, match="law 'joint' takes no window"):
+        eval_grid(cfg, EXP, xs, "joint", t=1.0, window=window)
+    with pytest.raises(DomainError, match="law 'between' takes no t"):
+        eval_grid(cfg, EXP, xs, "between", t=1.0, window=window)
     with pytest.raises(DomainError):
         EvalGrid((0.0, 0.0, 1.0), (0.1, 0.2, 0.3))  # not strictly increasing
     with pytest.raises(DomainError):
