@@ -39,7 +39,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .errors import DomainError, OrdstatError
+from .errors import _ABOVE_ZERO, _FINITE, DomainError, OrdstatError, _real
 from .inspections import expected_inspections, inspection_pmf
 from .joint import eval_grid
 from .lifetimes import parse_model
@@ -84,14 +84,9 @@ def parse_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(f"grid spec {text!r} must look like start:stop:step")
-    try:
-        start, stop, step = (float(s) for s in parts)
-    except ValueError:
-        raise DomainError(f"grid spec {text!r} has a non-numeric field") from None
-    if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise DomainError(f"grid spec {text!r} needs finite start, stop and step")
-    if step <= 0 or stop < start:
-        raise DomainError(f"grid spec {text!r} needs step > 0 and stop >= start")
+    start = _real(parts[0], -_FINITE, _FINITE, f"grid spec {text!r} needs a finite start")
+    stop = _real(parts[1], start, _FINITE, f"grid spec {text!r} needs a finite stop >= start")
+    step = _real(parts[2], _ABOVE_ZERO, _FINITE, f"grid spec {text!r} needs a finite step > 0")
     count = (stop - start) / step + 1e-9
     if not count < MAX_GRID_POINTS:  # also true when the span overflowed to inf
         raise DomainError(f"grid spec {text!r} has more than {MAX_GRID_POINTS} points")

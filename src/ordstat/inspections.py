@@ -84,9 +84,9 @@ class InspectionPmf:
             raise DomainError("probabilities must sum to exactly 1")
 
     def prob(self, m: int) -> Fraction:
-        """P{N = m}; zero off the support."""
+        """P{N = m}; zero off the support.  An integer value such as 3.0 is used as 3."""
         if m in self.support:
-            return self.probs[m - self.support[0]]
+            return self.probs[self.support.index(m)]
         return Fraction(0)
 
     def as_dict(self) -> dict[int, Fraction]:

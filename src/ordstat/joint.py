@@ -29,12 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import lgamma
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import xlog1py, xlogy
 
-from .errors import DomainError, NullConditioningError
+from .errors import DomainError, NullConditioningError, _floats, _reals, _time, _times
 from .lifetimes import LifetimeModel, _finish
 from .special import binom_tail
 from .system import SystemConfig, Window
@@ -56,26 +56,6 @@ __all__ = [
 
 # conditioning events with probability below this are treated as null
 NULL_EVENT_FLOOR = 1e-300
-
-
-def _check_time(value, name: str = "time") -> float:
-    try:
-        v = float(value)
-        if v >= 0.0:  # false for NaN
-            return v
-    except (TypeError, ValueError):  # None, text
-        pass
-    raise DomainError(f"{name} must be a nonnegative time, got {value!r}")
-
-
-def _check_times(values, name: str = "x") -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    # one reduction: a NaN propagates and fails, and the initial 0.0 lets an
-    # empty array through; the mask only names the first bad value
-    if not arr.min(initial=0.0) >= 0.0:
-        bad = np.isnan(arr) | (arr < 0.0)
-        raise DomainError(f"{name} must be a nonnegative time, got {float(arr[bad].flat[0])!r}")
-    return arr
 
 
 def _check_event(prob: float, description: str) -> None:
@@ -103,25 +83,23 @@ class EvalGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        for name in ("points", "values"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        points, values = self.points, self.values
+        points = np.array(_floats(self.points, "grid points must be numbers"))
+        values = np.array(_reals(self.values, 0.0, 1.0, "grid values must lie in [0, 1]"))
         if points.ndim != 1 or points.shape != values.shape or not points.size:
             raise DomainError("grid needs matching, nonempty points and values")
         # one reduction per check, each written so that a NaN fails it
         if not (points[1:] > points[:-1]).all():
             raise DomainError("grid points must be strictly increasing")
-        if not (values.min() >= 0.0 and values.max() <= 1.0):
-            raise DomainError("grid values must lie in [0, 1]")
         if ((values[1:] - values[:-1]) < -1e-9).any():
             raise DomainError("CDF grid values must be nondecreasing")
+        for name, arr in (("points", points), ("values", values)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def order_stat_cdf(cfg: SystemConfig, model: LifetimeModel, t) -> float:
     """P{X_{r:n} <= t}, the upper tail of Bin(n, F(t)) at r."""
-    t = _check_time(t, "t")
+    t = _time(t, "t")
     return binom_tail(cfg.n, cfg.r, model.cdf(t))
 
 
@@ -196,8 +174,8 @@ def joint_cdf_single(cfg: SystemConfig, model: LifetimeModel, x, t):
     With below = P{Bin(n-1, F(t)) >= r-1} and above = P{Bin(n-1, F(t)) >= r}
     it is F(x) below for x <= t and F(t) below + (F(x) - F(t)) above for x > t.
     """
-    x = _check_times(x, "x")
-    t = _check_time(t, "t")
+    x = _times(x, "x")
+    t = _time(t, "t")
     return _clip01(_joint_prob(cfg, [model.cdf(x)], model.cdf(t)))
 
 
@@ -209,10 +187,10 @@ def cond_cdf_given_leq(cfg: SystemConfig, model: LifetimeModel, x, t):
     of an observation given that some observation is <= t.
     """
     # t and the event are checked before x
-    ft = model.cdf(_check_time(t, "t"))
+    ft = model.cdf(_time(t, "t"))
     denom = binom_tail(cfg.n, cfg.r, ft)
     _check_event(denom, f"{{X_({cfg.r}:{cfg.n}) <= {t}}}")
-    x = _check_times(x, "x")
+    x = _times(x, "x")
     return _clip01(_joint_prob(cfg, [model.cdf(x)], ft) / denom)
 
 
@@ -226,7 +204,7 @@ def cond_cdf_between(cfg: SystemConfig, model: LifetimeModel, x, window: Window)
     continuous at x = t1 and x = t2; for every x the value times the window
     probability equals joint_cdf_single(x, t2) - joint_cdf_single(x, t1).
     """
-    x = _check_times(x, "x")
+    x = _times(x, "x")
     p1 = model.cdf(window.t1)
     p2 = model.cdf(window.t2)
     low, mid, high = _window_slopes(cfg, window, p1, p2)
@@ -250,8 +228,8 @@ def cond_cdf_given_eq(cfg: SystemConfig, model: LifetimeModel, x, t):
     0 < F(t) < 1 so that both branches are defined.  Elementwise over an
     array x.
     """
-    x = _check_times(x, "x")
-    t = _check_time(t, "t")
+    x = _times(x, "x")
+    t = _time(t, "t")
     ft = model.cdf(t)
     if not 0.0 < ft < 1.0:
         raise DomainError(f"need 0 < F(t) < 1 at the conditioning point, got F({t}) = {ft}")
@@ -263,24 +241,24 @@ def cond_cdf_given_eq(cfg: SystemConfig, model: LifetimeModel, x, t):
 
 
 def _checked_observations(cfg: SystemConfig, xs: Sequence, t) -> tuple[list[float], float]:
-    t = _check_time(t, "t")
-    values = [_check_time(x, "x") for x in xs]
-    if not 1 <= len(values) <= cfg.n:
-        raise DomainError(f"need between 1 and n={cfg.n} observations, got {len(values)}")
-    return values, t
+    t = _time(t, "t")
+    values = _times(xs, "x")
+    if values.ndim != 1 or not 1 <= values.size <= cfg.n:
+        raise DomainError(f"need a sequence of 1 to n={cfg.n} values, got shape {values.shape}")
+    return values.tolist(), t
 
 
-def joint_cdf_multi(cfg: SystemConfig, model: LifetimeModel, xs: Iterable, t) -> float:
+def joint_cdf_multi(cfg: SystemConfig, model: LifetimeModel, xs: Sequence, t) -> float:
     """Joint CDF P{X_1 <= x_1, ..., X_k <= x_k, X_{r:n} <= t} for any x_i and t.
 
     The law of _joint_prob; where every x_i <= t it is prod F(x_i) times
     P{Bin(n - k, F(t)) >= r - k}, which is 1 for k >= r.
     """
-    values, t = _checked_observations(cfg, list(xs), t)
+    values, t = _checked_observations(cfg, xs, t)
     return _clip01(_joint_prob(cfg, [model.cdf(x) for x in values], model.cdf(t)))
 
 
-def joint_pdf_multi(cfg: SystemConfig, model: LifetimeModel, xs: Iterable, t) -> float:
+def joint_pdf_multi(cfg: SystemConfig, model: LifetimeModel, xs: Sequence, t) -> float:
     """Joint density of (X_1, ..., X_k, X_{r:n}) on the region all x_i <= t.
 
     For k < r:
@@ -290,9 +268,8 @@ def joint_pdf_multi(cfg: SystemConfig, model: LifetimeModel, xs: Iterable, t) ->
     For k >= r the order-statistic coordinate is redundant on this region
     and the density reduces to prod f(x_i).
     """
-    values, t = _checked_observations(cfg, list(xs), t)
-    if max(values) > t:
-        raise DomainError(f"every observation argument must be <= t, got x={max(values)} > t={t}")
+    values, t = _checked_observations(cfg, xs, t)
+    _reals(values, 0.0, t, f"every observation argument must be <= t={t}")
     k = len(values)
     n, r = cfg.n, cfg.r
     prod = math.prod(model.pdf(x) for x in values)
@@ -326,7 +303,7 @@ def pair_cond_joint_cdf(
         raise DomainError("pair laws need a system of at least two components")
     if conditioning not in _PAIR_EVENTS:
         raise DomainError(f"unknown conditioning {conditioning!r}; expected max_leq, min_leq or min_gt")
-    x1, x2, t = _check_time(x1, "x1"), _check_time(x2, "x2"), _check_time(t, "t")
+    x1, x2, t = _time(x1, "x1"), _time(x2, "x2"), _time(t, "t")
     extreme, above = _PAIR_EVENTS[conditioning]
     pair_cfg = SystemConfig(cfg.n, cfg.n if extreme == "max" else 1)
     ft = model.cdf(t)
@@ -367,5 +344,6 @@ def eval_grid(
         raise DomainError(f"law {law!r} needs {'a window' if between else 'a threshold t'}")
     if extra is not None:
         raise DomainError(f"law {law!r} takes no {'t' if between else 'window'}")
-    points = np.asarray(xs, dtype=float)
+    # converted once here; the law checks the range
+    points = _floats(xs, "x must be nonnegative times")
     return EvalGrid(points, _GRID_LAWS[law](cfg, model, points, arg))

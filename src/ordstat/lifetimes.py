@@ -31,7 +31,8 @@ from abc import ABC, abstractmethod
 import numpy as np
 from scipy.special import gamma, gammainc, gammaincc
 
-from .errors import DensityUnsupportedError, DomainError, _real
+from .errors import (
+    _ABOVE_ZERO, _BELOW_ONE, _FINITE, DensityUnsupportedError, DomainError, _real, _reals)
 
 __all__ = [
     "LifetimeModel",
@@ -63,11 +64,9 @@ def _clip_time(arr, x_max):
     return np.minimum(np.maximum(arr, 0.0), x_max)
 
 
-def _check_interval(a, b):
-    a, b = _real(a, "need 0 <= a <= b"), _real(b, "need 0 <= a <= b")
-    if not 0.0 <= a <= b:  # also false for a NaN end
-        raise DomainError(f"need 0 <= a <= b, got [{a!r}, {b!r}]")
-    return a, b
+def _interval(a, b):
+    a = _real(a, 0.0, math.inf, "the start a must be >= 0")
+    return a, _real(b, a, math.inf, "the end b must be >= the start a")
 
 
 def _weibull_partial_moment(shape, scale, a, b):
@@ -79,7 +78,7 @@ def _weibull_partial_moment(shape, scale, a, b):
     side whose larger term is smaller, so its rounding error is a few eps
     times the smaller of the moments over [0, b] and [a, inf).
     """
-    a, b = _check_interval(a, b)
+    a, b = _interval(a, b)
     s = 1.0 + 1.0 / shape
     mean = scale * float(gamma(s))
     if not math.isfinite(mean):
@@ -106,11 +105,7 @@ class LifetimeModel(ABC):
 
     def quantile(self, u):
         """Smallest x with F(x) >= u, for u strictly inside (0, 1)."""
-        u = np.array(u, dtype=float)
-        # two reductions and no temporaries; NaN fails both comparisons, and
-        # the initial 0.5 lets an empty array through
-        if not (u.min(initial=0.5) > 0.0 and u.max(initial=0.5) < 1.0):
-            raise DomainError("probability argument must lie strictly inside (0, 1)")
+        u = np.array(_reals(u, _ABOVE_ZERO, _BELOW_ONE, "u must lie strictly inside (0, 1)"))
         with np.errstate(over="ignore"):
             return _finish(self._from_uniform(u))
 
@@ -143,11 +138,8 @@ class Exponential(LifetimeModel):
     """Exponential(rate): F(x) = 1 - exp(-rate * x)."""
 
     def __init__(self, rate: float):
-        rate = _real(rate, "rate must be a positive finite number")
-        if not math.isfinite(rate) or rate <= 0.0:
-            raise DomainError(f"rate must be a positive finite number, got {rate!r}")
-        self.rate = rate
-        self._x_max = _SATURATION / rate
+        self.rate = _real(rate, _ABOVE_ZERO, _FINITE, "rate must be a positive finite number")
+        self._x_max = _SATURATION / self.rate
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
@@ -175,15 +167,9 @@ class Weibull(LifetimeModel):
     """Weibull(shape, scale): F(x) = 1 - exp(-(x / scale)**shape)."""
 
     def __init__(self, shape: float, scale: float):
-        shape = _real(shape, _SHAPE_RULE)
-        scale = _real(scale, "scale must be a positive finite number")
-        if not math.isfinite(shape) or shape < _MIN_SHAPE:
-            raise DomainError(f"{_SHAPE_RULE}, got {shape!r}")
-        if not math.isfinite(scale) or scale <= 0.0:
-            raise DomainError(f"scale must be a positive finite number, got {scale!r}")
-        self.shape = shape
-        self.scale = scale
-        self._x_max = scale * _SATURATION ** (1.0 / shape)
+        self.shape = _real(shape, _MIN_SHAPE, _FINITE, _SHAPE_RULE)
+        self.scale = _real(scale, _ABOVE_ZERO, _FINITE, "scale must be a positive finite number")
+        self._x_max = self.scale * _SATURATION ** (1.0 / self.shape)
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
@@ -220,13 +206,8 @@ class Uniform(LifetimeModel):
     """Uniform(lo, hi) on [lo, hi] with 0 <= lo < hi."""
 
     def __init__(self, lo: float, hi: float):
-        lo, hi = _real(lo, "bounds must be finite"), _real(hi, "bounds must be finite")
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise DomainError(f"bounds must be finite, got ({lo!r}, {hi!r})")
-        if not 0.0 <= lo < hi:
-            raise DomainError(f"bounds must satisfy 0 <= lo < hi, got ({lo!r}, {hi!r})")
-        self.lo = lo
-        self.hi = hi
+        self.lo = _real(lo, 0.0, _FINITE, "lo must be finite and >= 0")
+        self.hi = _real(hi, math.nextafter(self.lo, math.inf), _FINITE, "hi must be finite and > lo")
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
@@ -243,7 +224,7 @@ class Uniform(LifetimeModel):
         return u
 
     def partial_moment(self, a: float, b: float) -> float:
-        a, b = _check_interval(a, b)
+        a, b = _interval(a, b)
         a, b = max(a, self.lo), min(b, self.hi)
         return (b - a) * (b + a) / (2.0 * (self.hi - self.lo)) if a < b else 0.0
 
@@ -259,16 +240,16 @@ class Empirical(LifetimeModel):
     """
 
     def __init__(self, sample):
-        arr = np.sort(np.asarray(sample, dtype=float).ravel())
-        if arr.size == 0:
+        rule = "empirical sample values must be finite and >= 0"
+        self.values = np.sort(_reals(sample, 0.0, _FINITE, rule).ravel())
+        if self.values.size == 0:
             raise DomainError("empirical sample must be nonempty")
-        if not np.all(np.isfinite(arr)) or arr[0] < 0.0:
-            raise DomainError("empirical sample values must be finite and >= 0")
-        self.values = arr
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
-        return _finish(np.searchsorted(self.values, arr, side="right") / self.values.size)
+        # searchsorted puts NaN after every value; F(NaN) is NaN, as in the other models
+        fraction = np.searchsorted(self.values, arr, side="right") / self.values.size
+        return _finish(np.where(np.isnan(arr), np.nan, fraction))
 
     def _from_uniform(self, u):
         m = self.values.size
@@ -289,15 +270,13 @@ def parse_model(text: str) -> LifetimeModel:
     if not sep:
         raise DomainError(f"model spec {text!r} must look like kind:parameters")
     kind = kind.strip()
+    # each model's own rule converts and checks its parameters
     if kind == "exp":
-        (rate,) = _parse_floats(text, rest, 1)
-        return Exponential(rate)
+        return Exponential(*_parameters(text, rest, 1))
     if kind == "weibull":
-        shape, scale = _parse_floats(text, rest, 2)
-        return Weibull(shape, scale)
+        return Weibull(*_parameters(text, rest, 2))
     if kind == "uniform":
-        lo, hi = _parse_floats(text, rest, 2)
-        return Uniform(lo, hi)
+        return Uniform(*_parameters(text, rest, 2))
     if kind == "empirical":
         if not rest.startswith("@"):
             raise DomainError(
@@ -307,14 +286,11 @@ def parse_model(text: str) -> LifetimeModel:
     raise DomainError(f"unknown model kind {kind!r}; expected exp, weibull, uniform or empirical")
 
 
-def _parse_floats(full, rest, count):
-    parts = [s.strip() for s in rest.split(",")]
+def _parameters(full, rest, count):
+    parts = rest.split(",")
     if len(parts) != count:
         raise DomainError(f"model spec {full!r} needs exactly {count} numeric parameter(s)")
-    try:
-        return [float(s) for s in parts]
-    except ValueError:
-        raise DomainError(f"model spec {full!r} has a non-numeric parameter") from None
+    return parts
 
 
 def _read_sample(path):

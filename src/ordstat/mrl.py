@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .joint import _check_times, window_slopes
+from .errors import _times
+from .joint import window_slopes
 from .lifetimes import LifetimeModel, _finish
 from .system import SystemConfig, Window
 
@@ -80,7 +81,7 @@ def cond_pdf_between(cfg: SystemConfig, model: LifetimeModel, x, window: Window)
     The x-derivative of the corresponding conditional CDF: f(x) scaled by
     the slope low, mid or high on x < t1, t1 <= x <= t2 and x > t2.
     """
-    x = _check_times(x, "x")
+    x = _times(x, "x")
     low, mid, high = window_slopes(cfg, model, window)
     return _finish(np.select([x < window.t1, x <= window.t2], [low, mid], high) * model.pdf(x))
 

@@ -46,9 +46,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EnumerationSizeError, NullConditioningError, _integer
+from .errors import DomainError, EnumerationSizeError, NullConditioningError, _integer, _time
 from .inspections import InspectionPmf
-from .joint import _check_time
 from .lifetimes import LifetimeModel
 from .system import SystemConfig, Window
 
@@ -95,7 +94,7 @@ def observation_leq(index: int, x) -> EventFn:
     The index must not exceed n, which is checked when the event is evaluated.
     """
     index = _integer(index, 1, inf, "component index must be a positive integer")
-    x = _check_time(x, "x")
+    x = _time(x, "x")
 
     def event(samples, ordered):
         n = samples.shape[1]
@@ -108,7 +107,7 @@ def observation_leq(index: int, x) -> EventFn:
 
 def order_stat_leq(cfg: SystemConfig, t) -> EventFn:
     """Event {X_{r:n} <= t}."""
-    t = _check_time(t, "t")
+    t = _time(t, "t")
     return lambda samples, ordered: ordered[:, cfg.r - 1] <= t
 
 

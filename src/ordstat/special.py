@@ -20,7 +20,7 @@ from math import inf
 
 from scipy.special import betainc
 
-from .errors import DomainError, _integer, _real
+from .errors import _integer, _real
 
 __all__ = ["binom_tail", "reg_inc_beta"]
 
@@ -34,9 +34,7 @@ def binom_tail(n_trials: int, lo: int, p: float) -> float:
     """
     n_trials = _integer(n_trials, 0, inf, "n_trials must be a nonnegative integer")
     lo = _integer(lo, 0, n_trials + 1, "lo must satisfy 0 <= lo <= n_trials + 1")
-    p = _real(p, "p must lie in [0, 1]")
-    if not 0.0 <= p <= 1.0:  # also true for NaN
-        raise DomainError(f"p must lie in [0, 1], got {p!r}")
+    p = _real(p, 0.0, 1.0, "p must lie in [0, 1]")
     if lo == 0:
         return 1.0
     if lo == n_trials + 1:

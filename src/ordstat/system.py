@@ -1,12 +1,13 @@
 """Shared configuration types: the system layout (n, r and a detection target
-k, each checked and converted to int by ``errors._integer``) and inspection windows."""
+k, each checked and converted to int by ``errors._integer``) and inspection
+windows (whose ends ``errors._real`` checks and converts to float)."""
 
 from __future__ import annotations
 
-import math
+from math import inf, nextafter
 from dataclasses import dataclass
 
-from .errors import DomainError, _integer
+from .errors import _FINITE, _integer, _real
 
 __all__ = ["SystemConfig", "Window"]
 
@@ -24,7 +25,7 @@ class SystemConfig:
     r: int
 
     def __post_init__(self):
-        n = _integer(self.n, 1, math.inf, "n must be an integer >= 1")
+        n = _integer(self.n, 1, inf, "n must be an integer >= 1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", _integer(self.r, 1, n, "r must satisfy 1 <= r <= n"))
 
@@ -38,19 +39,15 @@ class SystemConfig:
         return range(k, self.n - self.r + k + 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Window:
-    """An inspection window 0 <= t1 < t2 (strict; degenerate windows rejected)."""
+    """An inspection window 0 <= t1 < t2 of finite times, stored as floats."""
 
     t1: float
     t2: float
 
-    def __post_init__(self):
-        try:
-            finite = math.isfinite(self.t1) and math.isfinite(self.t2)
-        except TypeError:  # None, text
-            finite = False
-        if not finite:
-            raise DomainError(f"window endpoints must be finite, got ({self.t1!r}, {self.t2!r})")
-        if not 0.0 <= self.t1 < self.t2:
-            raise DomainError(f"window must satisfy 0 <= t1 < t2, got ({self.t1!r}, {self.t2!r})")
+    def __init__(self, t1, t2):
+        # t1 < t2 as the closed bound t2 >= the next float after t1
+        t1 = _real(t1, 0.0, _FINITE, "t1 must be a finite time >= 0")
+        t2 = _real(t2, nextafter(t1, inf), _FINITE, "t2 must be a finite time > t1")
+        self.__dict__.update(t1=t1, t2=t2)  # past the frozen __setattr__

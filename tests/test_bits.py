@@ -7,10 +7,13 @@ law values were recorded from the implementation that evaluated F afresh
 in every helper, before each public law computed F once per time.  The
 digests of the README ``simulate`` output were recorded from the
 implementation that drew each batch of up to 2**21 lifetimes as one array,
-before the simulation worked in cache-sized blocks.
+before the simulation worked in cache-sized blocks; those of the other README
+commands from the implementation that checked real arguments by hand, before
+``errors._real`` and ``_reals``.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,12 +191,58 @@ README_SIMULATE_PINS = [
 ]
 
 
-@pytest.mark.parametrize("command,csv_digest,json_digest", README_SIMULATE_PINS,
-                         ids=["inspections", "event"])
-def test_readme_simulate_output_is_pinned(capsys, monkeypatch, command, csv_digest, json_digest):
-    monkeypatch.delenv("ORDSTAT_SEED", raising=False)  # the event command takes seed 0
+# every other README command, likewise
+README_PINS = [
+    ("inspections --n 12 --r 5 --k 3",
+     "24d8b9efee2dfb906caa443be533c8c6267f96ac4f58a72a36a834bfac3a0042",
+     "5e8dc9cdefcfa8c0b51fc3d06e0088374d508fe24dc464b55a94e051b216c61c"),
+    ("inspections --n 12 --r 7 --k 2 --expected",
+     "6ded43fffe5f9a7875ec4ef9884486784e96a793f8e246c6871ad5b6fa65fc61",
+     "0e665ded4f4009c658d30667a9eeb84925aab8df6d470518dc957af97f87a469"),
+    ("joint-cdf --n 15 --r 7 --model exp:1 --t 2 --x-grid 0:6:0.05",
+     "4c3750b447f767561a93852515e0ba74e8e2796e39a76be26df80534de19996a",
+     "8a3bf9f793d506ae1e83cc739c3ce96e574156161dc80d7c44fd00c782fa4f12"),
+    ("joint-cdf --n 15 --r 7 --model exp:1 --t-grid 0.5:4:0.5",
+     "6d2f0b586563e88de6475411ce549ebbd7594ae692ba246a423cab77ad59f106",
+     "eee176b8a68557c8b35c8c59d35d416c61ede4f325f65ad1d319ca67d82096aa"),
+    ("cond-cdf --n 10 --r 4 --model exp:1 --t 2",
+     "ad7aabe3c9a187d0de0f88ab82ef0e02321ea8d7750d9282f910a70dfe8122cf",
+     "06f030a3a6cfbe1405a7bcc016957e5c62c6ef780c639a03299f8849f65bdf4c"),
+    ("cond-cdf --n 10 --r 4 --model exp:1 --t1 1 --t2 2",
+     "6415e3d50bfe6e4107b8670c1e6eac0157a6275380125fefece9f3989d5a44d7",
+     "f7c73af15c3b94a527353d6672a6dd5ae28cb53ca7808332fa9e322142b2a8a7"),
+    ("cond-cdf --n 10 --r 4 --model exp:1 --at 2",
+     "7b08faa4da513b76cace34ab42d18156fdc402c0abd5479df31db60956048ba0",
+     "23cea2daabf7ae842fa2929a46502063a4ba5543764b36dc5880184cf873e4ef"),
+    ("mrl --n 10 --r 4 --model exp:1 --t1 1 --t2 2",
+     "b2f0baaade066f87eb3ecf0ada3b91f68e61336dcafb057146164344122dd4cd",
+     "a45ad166f298499dd93cca4370afb4a848120794307ba7d63e7781a6f4af3dd5"),
+]
+
+
+def _assert_stdout_is_pinned(capsys, command, csv_digest, json_digest):
     for extra, digest in (([], csv_digest), (["--format", "json"], json_digest)):
         assert main(command.split() + extra) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command,csv_digest,json_digest", README_SIMULATE_PINS,
+                         ids=["inspections", "event"])
+def test_readme_simulate_output_is_pinned(capsys, monkeypatch, command, csv_digest, json_digest):
+    monkeypatch.delenv("ORDSTAT_SEED", raising=False)  # the event command takes seed 0
+    _assert_stdout_is_pinned(capsys, command, csv_digest, json_digest)
+
+
+@pytest.mark.parametrize("command,csv_digest,json_digest", README_PINS,
+                         ids=[pin[0] for pin in README_PINS])
+def test_readme_output_is_pinned(capsys, command, csv_digest, json_digest):
+    _assert_stdout_is_pinned(capsys, command, csv_digest, json_digest)
+
+
+def test_every_readme_command_is_pinned():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    commands = [line.split("#")[0].strip().removeprefix("ordstat ")
+                for line in readme.splitlines() if line.startswith("ordstat ")]
+    assert commands == [pin[0] for pin in README_PINS + README_SIMULATE_PINS]

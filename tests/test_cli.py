@@ -382,7 +382,7 @@ def test_grid_parsing_is_inclusive():
     with pytest.raises(DomainError):
         parse_grid("0:1:-0.5")
     assert len(parse_grid("0:999999:1")) == 1_000_000
-    for spec in ["0:1:nan", "nan:1:0.1", "0:inf:1", "-inf:0:1", "0:1:inf",
+    for spec in ["0:1:0", "0:1:nan", "nan:1:0.1", "0:inf:1", "-inf:0:1", "0:1:inf",
                  "0:1e9:1e-9", "0:1000000:1", "-1e308:1e308:1"]:
         with pytest.raises(DomainError):
             parse_grid(spec)

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 
 from ordstat import (
@@ -134,6 +135,15 @@ def test_pmf_prob_off_support_is_zero():
     pmf = inspection_pmf(SystemConfig(12, 5), 3)
     assert pmf.prob(2) == 0
     assert pmf.prob(12) == 0
+    assert pmf.prob(2.5) == 0
+
+
+def test_pmf_prob_takes_an_integer_value_as_the_int():
+    pmf = inspection_pmf(SystemConfig(12, 5), 3)
+    for m in pmf.support:
+        for value in (float(m), np.float64(m), np.int64(m)):
+            got = pmf.prob(value)
+            assert type(got) is Fraction and got == pmf.prob(m)
 
 
 def test_pmf_validation_rejects_inconsistent_inputs():

@@ -27,7 +27,6 @@ from ordstat import (
     pair_cond_joint_cdf,
     window_prob,
 )
-from ordstat.joint import _check_times
 from ordstat.oracle import mc_event_prob, order_stat_in_window, order_stat_leq
 
 EXP = Exponential(1.0)
@@ -346,6 +345,11 @@ def test_multi_laws_reject_bad_observation_arguments():
         joint_cdf_multi(cfg, EXP, [], 1.0)
     with pytest.raises(DomainError):
         joint_cdf_multi(cfg, EXP, [0.1] * 7, 1.0)
+    # xs is a sequence, not None or a scalar
+    for law in (joint_cdf_multi, joint_pdf_multi):
+        for xs in (None, 0.5, [[0.5]]):
+            with pytest.raises(DomainError):
+                law(cfg, EXP, xs, 1.0)
     # the density is only defined where every x_i <= t
     with pytest.raises(DomainError):
         joint_pdf_multi(cfg, EXP, [0.5, 1.5], 1.0)
@@ -558,6 +562,9 @@ def test_eval_grid_dispatch_and_validation():
         EvalGrid((0.0, 1.0), (0.5, math.nan))  # NaN is not in [0, 1]
     with pytest.raises(DomainError, match="strictly increasing"):
         EvalGrid((0.0, math.nan, 1.0), (0.0, 0.5, 1.0))  # a NaN point is not increasing
+    for points in (("a", 1.0), ((0.0, 1.0), (2.0,))):  # numpy cannot convert them
+        with pytest.raises(DomainError, match="^grid points must be numbers, got "):
+            EvalGrid(points, (0.5, 0.6))
     grid = EvalGrid((2.0,), (0.5,))  # one point: nothing to compare, still a grid
     assert grid.points.tolist() == [2.0] and grid.values.tolist() == [0.5]
 
@@ -592,23 +599,3 @@ def test_array_call_matches_scalar_calls(model, name, law):
 def test_array_call_rejects_bad_entries(name, law, bad):
     with pytest.raises(DomainError):
         law(SystemConfig(9, 4), EXP, np.array([0.1, bad, 2.0]))
-
-
-@pytest.mark.parametrize("bad", [math.nan, -0.5])
-@pytest.mark.parametrize("position", [0, 2500, 4999])
-def test_check_times_names_the_first_bad_value(bad, position):
-    values = np.linspace(0.0, 10.0, 5000)
-    values[position:] = -3.0  # bad too, but after the first
-    values[position] = bad
-    with pytest.raises(DomainError) as excinfo:
-        _check_times(values)
-    assert str(excinfo.value) == f"x must be a nonnegative time, got {bad!r}"
-
-
-@pytest.mark.parametrize("values", [np.array([]), np.array(2.5), -0.0, math.inf,
-                                    [0.0, -0.0, 1.0, math.inf]], ids=repr)
-def test_check_times_accepts_empty_zero_d_signed_zero_and_inf(values):
-    want = np.asarray(values, dtype=float)
-    got = _check_times(values)
-    assert got.shape == want.shape and np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))

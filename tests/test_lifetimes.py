@@ -225,6 +225,14 @@ ALL_MODELS = [*model_triplet(), Weibull(0.5, 2.0), Empirical([2.0, 1.0, 4.0])]
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
+def test_cdf_of_nan_is_nan(model):
+    # searchsorted would place NaN above every sample value, giving 1.0
+    assert math.isnan(model.cdf(math.nan))
+    values = model.cdf(np.array([math.nan, 1.5]))
+    assert math.isnan(values[0]) and values[1] == model.cdf(1.5)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
 def test_quantile_of_an_empty_array_is_empty(model):
     out = model.quantile(np.array([]))
     assert isinstance(out, np.ndarray) and out.shape == (0,)
