@@ -19,7 +19,9 @@ single code path valid for every 1 <= r <= n including r = 1 and r = n.
 Each public law computes F once per time it is given, F(x), F(t), F(t1)
 and F(t2), and hands those values to the private helpers ``_window_prob``,
 ``_window_slopes`` and ``_joint_prob``, which take F values rather
-than times.  A survival function S = 1 - F computed on its own would be
+than times.  ``_window_slopes`` takes the six tails of a window from one
+call of ``special._tails``; the laws that need one or two tails call
+``binom_tail``.  A survival function S = 1 - F computed on its own would be
 evaluated in the public laws alongside F and passed to the helpers in the
 same way.
 """
@@ -35,8 +37,8 @@ import numpy as np
 from scipy.special import xlog1py, xlogy
 
 from .errors import DomainError, NullConditioningError, _floats, _reals, _time, _times
-from .lifetimes import LifetimeModel, _finish
-from .special import binom_tail
+from .lifetimes import LifetimeModel, _clip, _finish
+from .special import _tails, binom_tail
 from .system import SystemConfig, Window
 
 __all__ = [
@@ -67,7 +69,7 @@ def _check_event(prob: float, description: str) -> None:
 
 def _clip01(value):
     """value clipped to [0, 1], under the scalar/array rule of lifetimes._finish."""
-    return _finish(np.clip(value, 0.0, 1.0))
+    return _finish(_clip(value, 0.0, 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,11 +105,14 @@ def order_stat_cdf(cfg: SystemConfig, model: LifetimeModel, t) -> float:
     return binom_tail(cfg.n, cfg.r, model.cdf(t))
 
 
+def _between(lo: float, hi: float) -> float:
+    """P{t1 <= X_{r:n} <= t2} from lo = P{X_{r:n} <= t1} and hi = P{X_{r:n} <= t2}."""
+    return max(0.0, hi - lo)
+
+
 def _window_prob(cfg: SystemConfig, p1: float, p2: float) -> float:
     """P{t1 <= X_{r:n} <= t2} from p1 = F(t1) and p2 = F(t2)."""
-    hi = binom_tail(cfg.n, cfg.r, p2)
-    lo = binom_tail(cfg.n, cfg.r, p1)
-    return max(0.0, hi - lo)
+    return _between(binom_tail(cfg.n, cfg.r, p1), binom_tail(cfg.n, cfg.r, p2))
 
 
 def window_prob(cfg: SystemConfig, model: LifetimeModel, window: Window) -> float:
@@ -118,12 +123,10 @@ def window_prob(cfg: SystemConfig, model: LifetimeModel, window: Window) -> floa
 def _window_slopes(cfg: SystemConfig, window: Window, p1: float, p2: float):
     """window_slopes from p1 = F(t1) and p2 = F(t2)."""
     n, r = cfg.n, cfg.r
-    prob = _window_prob(cfg, p1, p2)
+    lo, hi, up1, up2, mid1, mid2 = _tails(
+        (n, n, n - 1, n - 1, n - 1, n - 1), (r, r, r - 1, r - 1, r, r), (p1, p2) * 3)
+    prob = _between(lo, hi)
     _check_event(prob, f"{{{window.t1} <= X_({r}:{n}) <= {window.t2}}}")
-    up1 = binom_tail(n - 1, r - 1, p1)
-    up2 = binom_tail(n - 1, r - 1, p2)
-    mid1 = binom_tail(n - 1, r, p1)
-    mid2 = binom_tail(n - 1, r, p2)
     return (up2 - up1) / prob, (up2 - mid1) / prob, (mid2 - mid1) / prob
 
 
@@ -212,7 +215,7 @@ def cond_cdf_between(cfg: SystemConfig, model: LifetimeModel, x, window: Window)
     fx = model.cdf(x)
     value = (
         low * np.minimum(fx, p1)
-        + mid * (np.clip(fx, p1, p2) - p1)
+        + mid * (_clip(fx, p1, p2) - p1)
         + high * (np.maximum(fx, p2) - p2)
     )
     return _clip01(value)

@@ -7,9 +7,11 @@ wherever only the CDF or sampling is needed and refuses density evaluations
 and partial moments.
 
 ``cdf``, ``pdf`` and ``quantile`` accept floats or numpy arrays and work
-elementwise.  Every elementwise result in the package follows one rule,
-``_finish``: a 0-d result is returned as a plain float and anything else as
-the array, so a scalar in gives a float out.
+elementwise.  ``cdf`` and ``pdf`` only convert their argument, with
+``errors._floats``, and check no range: what numpy cannot convert to floats
+raises DomainError, and None, like NaN, gives NaN.  Every elementwise result
+in the package follows one rule, ``_finish``: a 0-d result is returned as a
+plain float and anything else as the array, so a scalar in gives a float out.
 
 Each model writes its quantile formula once, as ``_from_uniform(u)``: ``u``
 is a float64 array in (0, 1) that the caller owns, and the method overwrites
@@ -32,7 +34,8 @@ import numpy as np
 from scipy.special import gamma, gammainc, gammaincc
 
 from .errors import (
-    _ABOVE_ZERO, _BELOW_ONE, _FINITE, DensityUnsupportedError, DomainError, _real, _reals)
+    _ABOVE_ZERO, _BELOW_ONE, _FINITE, DensityUnsupportedError, DomainError, _floats, _real,
+    _reals)
 
 __all__ = [
     "LifetimeModel",
@@ -58,6 +61,16 @@ _SATURATION = 1000.0
 # smallest Weibull shape; _SATURATION ** (1 / _MIN_SHAPE) = 1e300 is finite
 _MIN_SHAPE = 0.01
 _SHAPE_RULE = f"shape must be a finite number >= {_MIN_SHAPE}"
+
+# the rule of the argument of cdf and pdf, which is converted but not range-checked
+_X_RULE = "x must be a number or an array of numbers"
+
+
+def _clip(value, lo, hi):
+    """np.clip(value, lo, hi), with its bits, signed zeros and NaN included."""
+    # np.clip costs 3-4 us more per call, in Python wrappers; with the bound
+    # first, a tie keeps value, as np.clip does
+    return np.minimum(hi, np.maximum(lo, value))
 
 
 def _clip_time(arr, x_max):
@@ -142,11 +155,11 @@ class Exponential(LifetimeModel):
         self._x_max = _SATURATION / self.rate
 
     def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
+        arr = _floats(x, _X_RULE)
         return _finish(-np.expm1(-self.rate * _clip_time(arr, self._x_max)))
 
     def pdf(self, x):
-        arr = np.asarray(x, dtype=float)
+        arr = _floats(x, _X_RULE)
         density = self.rate * np.exp(-self.rate * _clip_time(arr, self._x_max))
         return _finish(np.where(arr < 0.0, 0.0, density))
 
@@ -172,12 +185,12 @@ class Weibull(LifetimeModel):
         self._x_max = self.scale * _SATURATION ** (1.0 / self.shape)
 
     def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
+        arr = _floats(x, _X_RULE)
         z = _clip_time(arr, self._x_max) / self.scale
         return _finish(-np.expm1(-(z**self.shape)))
 
     def pdf(self, x):
-        arr = np.asarray(x, dtype=float)
+        arr = _floats(x, _X_RULE)
         z = _clip_time(arr, self._x_max) / self.scale
         # for shape < 1, z**(shape-1) is legitimately +inf at 0 and may
         # overflow to +inf just above it, where the density exceeds every float
@@ -210,11 +223,11 @@ class Uniform(LifetimeModel):
         self.hi = _real(hi, math.nextafter(self.lo, math.inf), _FINITE, "hi must be finite and > lo")
 
     def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        return _finish(np.clip((arr - self.lo) / (self.hi - self.lo), 0.0, 1.0))
+        arr = _floats(x, _X_RULE)
+        return _finish(_clip((arr - self.lo) / (self.hi - self.lo), 0.0, 1.0))
 
     def pdf(self, x):
-        arr = np.asarray(x, dtype=float)
+        arr = _floats(x, _X_RULE)
         inside = (arr >= self.lo) & (arr <= self.hi)
         return _finish(np.where(inside, 1.0 / (self.hi - self.lo), 0.0))
 
@@ -246,7 +259,7 @@ class Empirical(LifetimeModel):
             raise DomainError("empirical sample must be nonempty")
 
     def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
+        arr = _floats(x, _X_RULE)
         # searchsorted puts NaN after every value; F(NaN) is NaN, as in the other models
         fraction = np.searchsorted(self.values, arr, side="right") / self.values.size
         return _finish(np.where(np.isnan(arr), np.nan, fraction))
@@ -254,7 +267,7 @@ class Empirical(LifetimeModel):
     def _from_uniform(self, u):
         m = self.values.size
         u *= m
-        return self.values[np.clip(np.ceil(u, out=u).astype(int) - 1, 0, m - 1)]
+        return self.values[_clip(np.ceil(u, out=u).astype(int) - 1, 0, m - 1)]
 
     def __repr__(self):
         return f"Empirical(size={self.values.size})"

@@ -26,8 +26,8 @@ class SystemConfig:
 
     def __post_init__(self):
         n = _integer(self.n, 1, inf, "n must be an integer >= 1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", _integer(self.r, 1, n, "r must satisfy 1 <= r <= n"))
+        r = _integer(self.r, 1, n, "r must satisfy 1 <= r <= n")
+        self.__dict__.update(n=n, r=r)  # past the frozen __setattr__, as in Window
 
     def validate_k(self, k: int) -> int:
         """A detection target k as an int, checked 1 <= k < r."""

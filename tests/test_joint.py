@@ -27,6 +27,7 @@ from ordstat import (
     pair_cond_joint_cdf,
     window_prob,
 )
+from ordstat.joint import window_slopes
 from ordstat.oracle import mc_event_prob, order_stat_in_window, order_stat_leq
 
 EXP = Exponential(1.0)
@@ -261,6 +262,31 @@ def test_window_law_difference_identity_randomized():
 def test_window_law_tends_to_one():
     cfg = SystemConfig(9, 5)
     assert cond_cdf_between(cfg, EXP, math.inf, Window(0.5, 2.0)) == pytest.approx(1.0, abs=1e-12)
+
+
+# (n, r, window) -> window_slopes under Uniform(0.5, 3.0), where F(t1) = 0 or
+# F(t2) = 1, so the tails at r - 1 = 0 and r = n are the full and empty ones
+# at p = 0 and p = 1; the values are those of six separate binom_tail calls
+EDGE_SLOPES = {
+    (5, 1, (0.2, 3.5)): (0.0, 1.0, 1.0),
+    (5, 1, (0.2, 1.0)): (0.0, 1.487386958591147, 0.8781532603522132),
+    (5, 1, (1.0, 3.5)): (0.0, 1.25, 1.25),
+    (5, 5, (0.2, 3.5)): (1.0, 1.0, 0.0),
+    (5, 5, (0.2, 1.0)): (5.0, 5.0, 0.0),
+    (5, 5, (1.0, 3.5)): (0.998719590268886, 1.0003201024327786, 0.0),
+    (12, 1, (0.2, 3.5)): (0.0, 1.0, 1.0),
+    (12, 1, (0.2, 1.0)): (0.0, 1.0737903080965856, 0.9815524229758535),
+    (12, 1, (1.0, 3.5)): (0.0, 1.2500000000000009, 1.2500000000000009),
+    (12, 12, (0.2, 3.5)): (1.0, 1.0, 0.0),
+    (12, 12, (0.2, 1.0)): (5.0, 5.0, 0.0),
+    (12, 12, (1.0, 3.5)): (0.9999999836159998, 1.000000004096, 0.0),
+}
+
+
+@pytest.mark.parametrize("n,r,window", list(EDGE_SLOPES), ids=str)
+def test_window_slopes_at_the_edges_of_the_support(n, r, window):
+    slopes = window_slopes(SystemConfig(n, r), Uniform(0.5, 3.0), Window(*window))
+    assert slopes == EDGE_SLOPES[n, r, window]
 
 
 # --- conditioning on {X_{r:n} = t} --------------------------------------------

@@ -14,6 +14,7 @@ from ordstat import (
     Weibull,
     parse_model,
 )
+from ordstat.lifetimes import _clip
 
 
 def test_exponential_cdf_boundaries():
@@ -151,6 +152,17 @@ def test_vectorized_evaluation_matches_scalars():
     assert np.allclose(m.quantile(us), [m.quantile(float(u)) for u in us])
 
 
+@pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-0.0, 1.0), (0.0, -0.0), (-0.0, 0.0), (0.3, 0.3)])
+def test_clip_has_the_bits_of_np_clip(lo, hi):
+    # the ufunc pair with the bound first keeps np.clip's choice on a tie,
+    # which shows in the sign of a zero
+    values = [-0.0, 0.0, math.nan, -1.0, 2.0, 1.0, 0.3, -math.inf, math.inf, 5e-324]
+    for x in [*values, np.array(values), np.array(values * 9)]:
+        expected = np.clip(x, lo, hi)
+        got = _clip(x, lo, hi)
+        assert type(got) is type(expected) and got.tobytes() == expected.tobytes(), x
+
+
 @pytest.mark.parametrize(
     "model", [*model_triplet(), Weibull(1.5, 2.0), Empirical([2.0, 1.0, 4.0])], ids=repr,
 )
@@ -230,6 +242,26 @@ def test_cdf_of_nan_is_nan(model):
     assert math.isnan(model.cdf(math.nan))
     values = model.cdf(np.array([math.nan, 1.5]))
     assert math.isnan(values[0]) and values[1] == model.cdf(1.5)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
+def test_cdf_of_none_is_nan(model):
+    assert math.isnan(model.cdf(None))
+
+
+DENSITY_MODELS = [m for m in ALL_MODELS if not isinstance(m, Empirical)]
+
+
+@pytest.mark.parametrize("bad", ["a", [1.0, "a"], [[1.0, 2.0], [3.0]]], ids=repr)
+@pytest.mark.parametrize(
+    "model,method",
+    [(m, "cdf") for m in ALL_MODELS] + [(m, "pdf") for m in DENSITY_MODELS],
+    ids=repr,
+)
+def test_cdf_and_pdf_reject_what_is_not_numbers(model, method, bad):
+    # conversion only: a DomainError, not numpy's bare ValueError
+    with pytest.raises(DomainError, match="x must be a number or an array of numbers"):
+        getattr(model, method)(bad)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=repr)

@@ -6,6 +6,7 @@ from scipy import special as sp
 
 from conftest import exact_binom_tail
 from ordstat import DomainError, binom_tail, reg_inc_beta
+from ordstat.special import _tails
 
 
 def test_full_tail_is_exactly_one():
@@ -100,3 +101,16 @@ def test_tail_rejects_bad_arguments(args):
 def test_beta_params_reject_bad_arguments(a, b, p):
     with pytest.raises(DomainError):
         reg_inc_beta(a, b, p)
+
+
+def test_batched_tails_have_the_bits_of_binom_tail():
+    # p = 0 and p = 1 are where betainc breaks the conventions of lo = 0 and
+    # lo = n_trials + 1; 5e-324 is the least float above 0, 1 - 2**-53 the
+    # largest below 1
+    ps = (0.0, 5e-324, 1e-300, 0.3, 0.5, 1.0 - 2.0**-53, 1.0)
+    args = [(n, lo, p) for n in range(41) for lo in range(n + 2) for p in ps]
+    tails = _tails(*zip(*args))
+    assert len(tails) == len(args)
+    for (n, lo, p), tail in zip(args, tails):
+        # hex tells -0.0 from 0.0, which == does not
+        assert type(tail) is float and tail.hex() == binom_tail(n, lo, p).hex(), (n, lo, p)
