@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, perm
+from math import comb, inf, lcm, perm
 
 from .errors import DomainError, _integer
 from .system import SystemConfig
@@ -84,7 +84,8 @@ class InspectionPmf:
             raise DomainError("probabilities must sum to exactly 1")
 
     def prob(self, m: int) -> Fraction:
-        """P{N = m}; zero off the support.  An integer value such as 3.0 is used as 3."""
+        """P{N = m}; zero at an integer m off the support.  A value such as 3.0 is used as 3."""
+        m = _integer(m, -inf, inf, "m must be an integer")
         if m in self.support:
             return self.probs[self.support.index(m)]
         return Fraction(0)

@@ -19,9 +19,9 @@ single code path valid for every 1 <= r <= n including r = 1 and r = n.
 Each public law computes F once per time it is given, F(x), F(t), F(t1)
 and F(t2), and hands those values to the private helpers ``_window_prob``,
 ``_window_slopes`` and ``_joint_prob``, which take F values rather
-than times.  ``_window_slopes`` takes the six tails of a window from one
-call of ``special._tails``; the laws that need one or two tails call
-``binom_tail``.  A survival function S = 1 - F computed on its own would be
+than times.  Every tail comes from ``special._tails``, several per call: the
+two of ``_window_prob``, the six of ``_window_slopes`` and the m + 1 of
+``_joint_prob``.  A survival function S = 1 - F computed on its own would be
 evaluated in the public laws alongside F and passed to the helpers in the
 same way.
 """
@@ -31,14 +31,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import lgamma
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import xlog1py, xlogy
 
 from .errors import DomainError, NullConditioningError, _floats, _reals, _time, _times
 from .lifetimes import LifetimeModel, _clip, _finish
-from .special import _tails, binom_tail
+from .special import _tails
 from .system import SystemConfig, Window
 
 __all__ = [
@@ -60,10 +60,11 @@ __all__ = [
 NULL_EVENT_FLOOR = 1e-300
 
 
-def _check_event(prob: float, description: str) -> None:
+def _check_event(prob: float, description: Callable[[], str]) -> None:
+    # description() names the event; it is formatted only on failure, as in errors
     if prob < NULL_EVENT_FLOOR:
         raise NullConditioningError(
-            f"conditioning event {description} has probability {prob!r}, treated as null"
+            f"conditioning event {description()} has probability {prob!r}, treated as null"
         )
 
 
@@ -102,7 +103,7 @@ class EvalGrid:
 def order_stat_cdf(cfg: SystemConfig, model: LifetimeModel, t) -> float:
     """P{X_{r:n} <= t}, the upper tail of Bin(n, F(t)) at r."""
     t = _time(t, "t")
-    return binom_tail(cfg.n, cfg.r, model.cdf(t))
+    return _tails((cfg.n,), (cfg.r,), (model.cdf(t),))[0]
 
 
 def _between(lo: float, hi: float) -> float:
@@ -112,7 +113,7 @@ def _between(lo: float, hi: float) -> float:
 
 def _window_prob(cfg: SystemConfig, p1: float, p2: float) -> float:
     """P{t1 <= X_{r:n} <= t2} from p1 = F(t1) and p2 = F(t2)."""
-    return _between(binom_tail(cfg.n, cfg.r, p1), binom_tail(cfg.n, cfg.r, p2))
+    return _between(*_tails((cfg.n, cfg.n), (cfg.r, cfg.r), (p1, p2)))
 
 
 def window_prob(cfg: SystemConfig, model: LifetimeModel, window: Window) -> float:
@@ -126,7 +127,7 @@ def _window_slopes(cfg: SystemConfig, window: Window, p1: float, p2: float):
     lo, hi, up1, up2, mid1, mid2 = _tails(
         (n, n, n - 1, n - 1, n - 1, n - 1), (r, r, r - 1, r - 1, r, r), (p1, p2) * 3)
     prob = _between(lo, hi)
-    _check_event(prob, f"{{{window.t1} <= X_({r}:{n}) <= {window.t2}}}")
+    _check_event(prob, lambda: f"{{{window.t1} <= X_({r}:{n}) <= {window.t2}}}")
     return (up2 - up1) / prob, (up2 - mid1) / prob, (mid2 - mid1) / prob
 
 
@@ -162,12 +163,12 @@ def _joint_prob(cfg: SystemConfig, fxs: Sequence, ft: float, above: bool = False
         # the first factor is [b, a] itself, with no products by 1.0 or 0.0
         e = [b, a] if len(e) == 1 else [
             e[0] * b, *[e[j] * b + e[j - 1] * a for j in range(1, len(e))], e[-1] * a]
-    total = None
-    for j, coef in enumerate(e):
-        # a tail from lo <= 0 is 1 and one from lo > n - m is 0, on either side
-        lo = min(max(r - j, 0), n - m + 1)
-        tail = binom_tail(n - m, n - m + 1 - lo, 1.0 - ft) if above else binom_tail(n - m, lo, ft)
-        total = coef * tail if total is None else total + coef * tail
+    # the lower tail at r - 1 - j in F is the upper one at n - m + 1 - r + j in 1 - F
+    ks, q = (range(n - m + 1 - r, n + 2 - r), 1.0 - ft) if above else (range(r, r - m - 1, -1), ft)
+    tails = _tails([n - m] * (m + 1), list(ks), [q] * (m + 1))
+    total = e[0] * tails[0]
+    for j in range(1, m + 1):
+        total += e[j] * tails[j]
     return total
 
 
@@ -191,8 +192,8 @@ def cond_cdf_given_leq(cfg: SystemConfig, model: LifetimeModel, x, t):
     """
     # t and the event are checked before x
     ft = model.cdf(_time(t, "t"))
-    denom = binom_tail(cfg.n, cfg.r, ft)
-    _check_event(denom, f"{{X_({cfg.r}:{cfg.n}) <= {t}}}")
+    denom = _tails((cfg.n,), (cfg.r,), (ft,))[0]
+    _check_event(denom, lambda: f"{{X_({cfg.r}:{cfg.n}) <= {t}}}")
     x = _times(x, "x")
     return _clip01(_joint_prob(cfg, [model.cdf(x)], ft) / denom)
 
@@ -311,7 +312,7 @@ def pair_cond_joint_cdf(
     pair_cfg = SystemConfig(cfg.n, cfg.n if extreme == "max" else 1)
     ft = model.cdf(t)
     event = _joint_prob(pair_cfg, [], ft, above)
-    _check_event(event, f"{{X_({pair_cfg.r}:{cfg.n}) {'>' if above else '<='} {t}}}")
+    _check_event(event, lambda: f"{{X_({pair_cfg.r}:{cfg.n}) {'>' if above else '<='} {t}}}")
     return _clip01(_joint_prob(pair_cfg, [model.cdf(x1), model.cdf(x2)], ft, above) / event)
 
 

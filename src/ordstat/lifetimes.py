@@ -228,8 +228,9 @@ class Uniform(LifetimeModel):
 
     def pdf(self, x):
         arr = _floats(x, _X_RULE)
-        inside = (arr >= self.lo) & (arr <= self.hi)
-        return _finish(np.where(inside, 1.0 / (self.hi - self.lo), 0.0))
+        # NaN is not outside [lo, hi], and its density is NaN, as in the other models
+        density = np.where(np.isnan(arr), np.nan, 1.0 / (self.hi - self.lo))
+        return _finish(np.where((arr < self.lo) | (arr > self.hi), 0.0, density))
 
     def _from_uniform(self, u):
         u *= self.hi - self.lo

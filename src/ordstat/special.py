@@ -7,22 +7,22 @@ function is exactly such a tail:
     I_p(a, b) = P{Bin(a + b - 1, p) >= a}
               = sum_{j=a}^{a+b-1} C(a+b-1, j) p^j (1-p)^(a+b-1-j)
 
-The tail P{Bin(n, p) >= lo} runs from lo = 0 up to lo = n + 1, and its two
-ends are conventions of the empty and full sums: lo = 0 gives exactly 1 and
-lo = n + 1 gives exactly 0, for every p in [0, 1].  Between them the tail is
-I_p(lo, n - lo + 1) from ``scipy.special.betainc`` (Boost's ``ibeta``), which
-works for any n.  betainc breaks both conventions at the ends of [0, 1]:
-betainc(0, b, 0.0) is 0 and betainc(a, 0, 1.0) is 1, so they are set apart
-from it.  At n <= 300 betainc is within 7e-14 relative of exact sums down to
-tails of about 1e-280, but not below: binom_tail(105, 72, 3.961504368954634e-05)
-is 1.5e-4 relative off its exact 2.25774e-290, and binom_tail(244, 219,
-0.03056652865190136) is 0.0 against 7.49e-299.
+The tail P{Bin(n, p) >= lo} is defined for every integer lo: lo <= 0 gives
+exactly 1 (the full sum) and lo > n exactly 0 (the empty one), for every p
+in [0, 1].  Between them the tail is I_p(lo, n - lo + 1) from
+``scipy.special.betainc`` (Boost's ``ibeta``), which works for any n.
+betainc breaks both conventions at the ends of [0, 1]: betainc(0, b, 0.0) is
+0 and betainc(a, 0, 1.0) is 1, and it gives NaN beyond them, so they are set
+apart from it.  At n <= 300 betainc is within 7e-14 relative of exact sums
+down to tails of about 1e-280, but not below: binom_tail(105, 72,
+3.961504368954634e-05) is 1.5e-4 relative off its exact 2.25774e-290, and
+binom_tail(244, 219, 0.03056652865190136) is 0.0 against 7.49e-299.
 
-``binom_tail`` checks its arguments and returns one tail.  ``_tails`` returns
-several, elementwise over sequences of arguments, from one betainc call, for a
-caller that needs them at once and has checked its arguments itself.  Each of
-its values has the bits of binom_tail's, the conventions included, and so the
-same precision limit.
+``_tails`` is the one place that computes tails: it returns several,
+elementwise over sequences of arguments, from one betainc call, with the
+conventions applied.  It checks nothing, for callers that have checked their
+arguments themselves.  ``binom_tail`` checks its arguments, 0 <= lo <= n + 1
+among them, and returns one tail from ``_tails``.
 """
 
 from __future__ import annotations
@@ -37,31 +37,28 @@ __all__ = ["binom_tail", "reg_inc_beta"]
 
 
 def binom_tail(n_trials: int, lo: int, p: float) -> float:
-    """Upper binomial tail P{Bin(n_trials, p) >= lo}.
+    """Upper binomial tail P{Bin(n_trials, p) >= lo}, for 0 <= lo <= n_trials + 1.
 
-    ``lo`` runs from 0 (full tail, exactly 1) up to ``n_trials + 1`` (empty
-    tail, exactly 0), the conventions of the module docstring.
+    The ends, lo = 0 and lo = n_trials + 1, follow the conventions of the
+    module docstring.
     """
     n_trials = _integer(n_trials, 0, inf, "n_trials must be a nonnegative integer")
     lo = _integer(lo, 0, n_trials + 1, "lo must satisfy 0 <= lo <= n_trials + 1")
     p = _real(p, 0.0, 1.0, "p must lie in [0, 1]")
-    if lo == 0:
-        return 1.0
-    if lo == n_trials + 1:
-        return 0.0
-    return float(betainc(lo, n_trials - lo + 1, p))
+    return _tails((n_trials,), (lo,), (p,))[0]
 
 
 def _tails(n_trials, lo, p) -> list[float]:
-    """[binom_tail(n, k, q) for n, k, q in zip(n_trials, lo, p)] from one betainc call.
+    """[P{Bin(n, q) >= k} for n, k, q in zip(n_trials, lo, p)] from one betainc call.
 
-    Unchecked: the caller passes equal-length flat sequences of valid
-    arguments (betainc converts nested lists at about twice the cost).
+    Unchecked: the caller passes equal-length flat sequences of n >= 0, any integer
+    k and q in [0, 1] (betainc converts nested lists at about twice the cost).
     """
-    shape_b = [n - k + 1 for n, k in zip(n_trials, lo)]
+    # a float shape b spares betainc the cast of an int array
+    shape_b = [n - k + 1.0 for n, k in zip(n_trials, lo)]
     tails = betainc(lo, shape_b, p).tolist()
-    if 0 in lo or 0 in shape_b:  # a full or an empty tail, whose convention betainc breaks
-        tails = [1.0 if not k else 0.0 if not b else t for k, b, t in zip(lo, shape_b, tails)]
+    if min(lo) <= 0 or min(shape_b) <= 0:  # a full or an empty tail, whose convention betainc breaks
+        tails = [1.0 if k <= 0 else 0.0 if b <= 0 else t for k, b, t in zip(lo, shape_b, tails)]
     return tails
 
 

@@ -63,6 +63,7 @@ INTEGER_PARAMETERS = {
     "exhaustive_inspection_pmf.k": (3, lambda v: exhaustive_inspection_pmf(CFG, v)),
     "mc_inspection_pmf.k": (3, lambda v: mc_inspection_pmf(CFG, EXP, v, 200, 1)),
     "InspectionPmf.k": (3, lambda v: InspectionPmf(CFG, v, PMF.support, PMF.probs)),
+    "InspectionPmf.prob.m": (3, lambda v: PMF.prob(v)),
     "lambda_coeff.j": (2, lambda v: lambda_coeff(CFG, v)),
     "binom_tail.n_trials": (12, lambda v: binom_tail(v, 4, 0.3)),
     "binom_tail.lo": (4, lambda v: binom_tail(12, v, 0.3)),

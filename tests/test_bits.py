@@ -4,7 +4,11 @@ The Monte-Carlo values below were recorded from the plain-expression
 implementation of the quantiles and of the detection count; each in-place
 rewrite of those paths must reproduce them exactly, not just closely.  The
 law values were recorded from the implementation that evaluated F afresh
-in every helper, before each public law computed F once per time.  The
+in every helper, before each public law computed F once per time; those of
+``order_stat_cdf``, ``window_prob``, ``joint_cdf_multi`` and the pair laws
+from the implementation in which ``binom_tail`` made its own betainc call
+and ``_joint_prob`` clamped its tail indices, before every tail came from
+``special._tails``.  The
 digests of the README ``simulate`` output were recorded from the
 implementation that drew each batch of up to 2**21 lifetimes as one array,
 before the simulation worked in cache-sized blocks; those of the other README
@@ -29,11 +33,15 @@ from ordstat import (
     cond_cdf_between,
     cond_cdf_given_leq,
     cond_pdf_between,
+    joint_cdf_multi,
     joint_cdf_single,
     mc_event_mean,
     mc_event_prob,
     mc_inspection_pmf,
     mrl_summary,
+    order_stat_cdf,
+    pair_cond_joint_cdf,
+    window_prob,
 )
 from ordstat.cli import main
 from ordstat.joint import window_slopes
@@ -118,7 +126,10 @@ def test_tied_lifetimes_leave_every_row_off_the_support():
 LAW_CFG = SystemConfig(12, 5)
 # per model and law: (the first 16 hex digits of the sha256 of the float64
 # bytes of the 201-point grid, the value at the scalar x = grid[40]); then
-# the window slopes and (phi, psi, truncation_bound) of mrl_summary
+# the window slopes and (phi, psi, truncation_bound) of mrl_summary; then
+# order_stat_cdf (the digest over the grid, one scalar call per point, and
+# the value at t), window_prob, joint_cdf_multi at three x_i, one of them
+# above t, and pair_cond_joint_cdf for max_leq, min_leq and min_gt
 LAW_PINS = {
     Exponential(1.3): {
         "joint": ("f581b9a4e441eb49", 0.5441363129575483),
@@ -127,6 +138,10 @@ LAW_PINS = {
         "pdf_between": ("191bc09f85ec674c", 0.3565255793488012),
         "slopes": (0.7873702380980863, 1.0918106894192119, 1.089417919304841),
         "mrl": (-0.4109213221433159, 0.4109213221433159, 4.941828395646741e-14),
+        "order_stat_cdf": ("ee527cdb118a4d86", 0.6955679986739426),
+        "window_prob": 0.7230742266500001,
+        "multi": 0.051623303188218755,
+        "pairs": (0.4444444444444445, 0.1401073527567576, 0.3719008264462807),
     },
     Weibull(0.5, 2.0): {
         "joint": ("36c8eda99dd08e56", 0.6681158735064388),
@@ -135,6 +150,10 @@ LAW_PINS = {
         "pdf_between": ("c3a771308a1d0274", 0.004014595518090503),
         "slopes": (0.7873702380980863, 1.0918106894192119, 1.089417919304841),
         "mrl": (-0.8278771932288649, 0.8278771932288649, 2.4886279103605874e-13),
+        "order_stat_cdf": ("0c912e0133399a43", 0.6955679986739426),
+        "window_prob": 0.7230742266500001,
+        "multi": 0.051623303188218755,
+        "pairs": (0.4444444444444445, 0.1401073527567576, 0.3719008264462807),
     },
     Weibull(2.0, 1.0): {
         "joint": ("afd28d9778be9593", 0.19528111607453566),
@@ -143,6 +162,10 @@ LAW_PINS = {
         "pdf_between": ("207f62515b5e412f", 0.6279245425217589),
         "slopes": (0.7873702380980863, 1.0918106894192119, 1.089417919304841),
         "mrl": (-0.3368640570723461, 0.3368640570723461, 6.011200399942163e-14),
+        "order_stat_cdf": ("0c7470513487524d", 0.6955679986739426),
+        "window_prob": 0.7230742266500001,
+        "multi": 0.051623303188218755,
+        "pairs": (0.4444444444444445, 0.1401073527567576, 0.3719008264462807),
     },
     Uniform(0.5, 3.0): {
         "joint": ("1f47df6730ead5df", 0.03219331601323302),
@@ -151,6 +174,10 @@ LAW_PINS = {
         "pdf_between": ("37e6cac9498ca909", 0.3149480952392345),
         "slopes": (0.7873702380980863, 1.0918106894192119, 1.089417919304841),
         "mrl": (-0.6705629355510785, 0.6705629355510785, 1.2028279857199007e-13),
+        "order_stat_cdf": ("d9a21d558325e330", 0.6955679986739426),
+        "window_prob": 0.7230742266500001,
+        "multi": 0.051623303188218755,
+        "pairs": (0.4444444444444445, 0.1401073527567576, 0.3719008264462807),
     },
 }
 
@@ -178,6 +205,15 @@ def test_laws_are_pinned(model):
     assert window_slopes(LAW_CFG, model, window) == pins["slopes"]
     summary = mrl_summary(LAW_CFG, model, window)
     assert (summary.phi, summary.psi, summary.truncation_bound) == pins["mrl"]
+    cdfs = [order_stat_cdf(LAW_CFG, model, x) for x in xs.tolist()]
+    assert (_grid_digest(cdfs), order_stat_cdf(LAW_CFG, model, t)) == pins["order_stat_cdf"]
+    assert window_prob(LAW_CFG, model, window) == pins["window_prob"]
+    lo, mid, hi, top = (model.quantile(q) for q in (0.2, 0.4, 0.7, 0.9))
+    assert joint_cdf_multi(LAW_CFG, model, [lo, mid, hi], t) == pins["multi"]
+    pairs = (pair_cond_joint_cdf(LAW_CFG, model, lo, hi, t, "max_leq"),
+             pair_cond_joint_cdf(LAW_CFG, model, lo, hi, t, "min_leq"),
+             pair_cond_joint_cdf(LAW_CFG, model, hi, top, t, "min_gt"))
+    assert pairs == pins["pairs"]
 
 
 # the two README simulate commands: sha256 of their stdout as CSV, then as JSON

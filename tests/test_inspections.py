@@ -135,7 +135,7 @@ def test_pmf_prob_off_support_is_zero():
     pmf = inspection_pmf(SystemConfig(12, 5), 3)
     assert pmf.prob(2) == 0
     assert pmf.prob(12) == 0
-    assert pmf.prob(2.5) == 0
+    assert pmf.prob(-1) == 0  # a non-integer such as 2.5 raises, see test_arguments
 
 
 def test_pmf_prob_takes_an_integer_value_as_the_int():

@@ -249,6 +249,14 @@ def test_cdf_of_none_is_nan(model):
     assert math.isnan(model.cdf(None))
 
 
+@pytest.mark.parametrize("model", model_triplet(), ids=repr)
+def test_pdf_of_nan_and_none_is_nan(model):
+    # a support test alone would place NaN outside [lo, hi], giving 0.0
+    assert math.isnan(model.pdf(math.nan)) and math.isnan(model.pdf(None))
+    values = model.pdf(np.array([math.nan, 1.5]))
+    assert math.isnan(values[0]) and values[1] == model.pdf(1.5)
+
+
 DENSITY_MODELS = [m for m in ALL_MODELS if not isinstance(m, Empirical)]
 
 

@@ -104,13 +104,20 @@ def test_beta_params_reject_bad_arguments(a, b, p):
 
 
 def test_batched_tails_have_the_bits_of_binom_tail():
-    # p = 0 and p = 1 are where betainc breaks the conventions of lo = 0 and
+    # the reference is one scalar betainc call per tail, with the conventions
+    # set apart: lo <= 0 gives exactly 1 and lo > n_trials exactly 0, where
+    # betainc breaks them at p = 0 and p = 1 and gives NaN beyond lo = 0 and
     # lo = n_trials + 1; 5e-324 is the least float above 0, 1 - 2**-53 the
     # largest below 1
     ps = (0.0, 5e-324, 1e-300, 0.3, 0.5, 1.0 - 2.0**-53, 1.0)
-    args = [(n, lo, p) for n in range(41) for lo in range(n + 2) for p in ps]
+    args = [(n, lo, p) for n in range(41) for lo in range(-2, n + 4) for p in ps]
     tails = _tails(*zip(*args))
     assert len(tails) == len(args)
     for (n, lo, p), tail in zip(args, tails):
+        expected = 1.0 if lo <= 0 else 0.0 if lo > n else float(sp.betainc(lo, n - lo + 1, p))
         # hex tells -0.0 from 0.0, which == does not
-        assert type(tail) is float and tail.hex() == binom_tail(n, lo, p).hex(), (n, lo, p)
+        assert type(tail) is float and tail.hex() == expected.hex(), (n, lo, p)
+        if 0 <= lo <= n + 1:
+            assert binom_tail(n, lo, p).hex() == expected.hex(), (n, lo, p)
+    # and in a call with no lo = 0 or lo = n_trials + 1 beside them
+    assert _tails((5, 5), (-1, 8), (0.3, 0.3)) == [1.0, 0.0]
