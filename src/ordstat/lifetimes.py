@@ -15,11 +15,12 @@ plain float and anything else as the array, so a scalar in gives a float out.
 
 Each model writes its quantile formula once, as ``_from_uniform(u)``: ``u``
 is a float64 array in (0, 1) that the caller owns, and the method overwrites
-it with the quantiles and returns it (the empirical model returns a lookup
-instead).  ``quantile`` hands it a checked copy of its argument, and
-``sample`` the uniforms it has just drawn, so a batch of lifetimes costs one
-allocation and a scalar gets the same bits as an array element.  A quantile
-beyond the largest float comes out as inf, its correctly rounded value.
+it with the quantiles and returns it.  ``quantile`` hands it a checked copy
+of its argument, and ``sample`` the uniforms it has just drawn, so a batch
+of lifetimes costs one allocation, or none when ``sample`` is given an
+``out`` buffer, and a scalar gets the same bits as an array element.  A
+quantile beyond the largest float comes out as inf, its correctly rounded
+value.
 
 Weibull shapes must be at least 0.01; below that the quantile overflows to
 inf for ordinary probabilities.
@@ -34,7 +35,7 @@ import numpy as np
 from scipy.special import gamma, gammainc, gammaincc
 
 from .errors import (
-    _ABOVE_ZERO, _BELOW_ONE, _FINITE, DensityUnsupportedError, DomainError, _floats, _real,
+    _ABOVE_ZERO, _BELOW_ONE, _FINITE, DensityUnsupportedError, DomainError, _floats, _min, _real,
     _reals)
 
 __all__ = [
@@ -126,11 +127,17 @@ class LifetimeModel(ABC):
         """Density F'(x); models without one raise DensityUnsupportedError."""
         raise DensityUnsupportedError(f"{type(self).__name__} does not expose a density")
 
-    def sample(self, rng: np.random.Generator, size):
-        """Draw lifetimes by inverse-CDF transformation of uniforms from ``rng``."""
-        u = np.asarray(rng.random(size))  # a float for size None
-        # rng.random can return exactly 0.0, which the quantile rejects
-        if not u.all():
+    def sample(self, rng: np.random.Generator, size, out=None):
+        """Draw lifetimes by inverse-CDF transformation of uniforms from ``rng``.
+
+        With ``out``, a float64 array of shape ``size``, the uniforms are
+        drawn into it and overwritten with the lifetimes, and ``out`` is
+        returned; the bits are those of a call without it.
+        """
+        u = np.asarray(rng.random(size, out=out))  # a float for size None
+        # rng.random can return exactly 0.0, which the quantile rejects; one
+        # reduction finds it, where u.all() casts every float to bool
+        if _min(u, None, initial=1.0) == 0.0:
             u[u == 0.0] = np.nextafter(0.0, 1.0)
         # u now lies strictly inside (0, 1), so quantile's check is not needed
         with np.errstate(over="ignore"):
@@ -266,9 +273,9 @@ class Empirical(LifetimeModel):
         return _finish(np.where(np.isnan(arr), np.nan, fraction))
 
     def _from_uniform(self, u):
-        m = self.values.size
-        u *= m
-        return self.values[_clip(np.ceil(u, out=u).astype(int) - 1, 0, m - 1)]
+        u *= self.values.size
+        # the clip mode keeps every index in range
+        return np.take(self.values, np.ceil(u, out=u).astype(int) - 1, mode="clip", out=u)
 
     def __repr__(self):
         return f"Empirical(size={self.values.size})"

@@ -20,12 +20,22 @@ rejection sampling and report the fraction of raw replications that
 satisfied the conditioning event; standard errors are computed from the
 accepted count.
 
+A call allocates its two block arrays once, ``draws`` and ``ordered``.
+Every block is drawn into the first (``model.sample(..., out=)``), copied
+into the second and sorted there in place, which is what ``np.sort`` does
+in a fresh copy, so the bits are the same.  The ``samples`` and ``ordered``
+an event receives are therefore views of the call's reused buffers, valid
+only while the event runs: an event may return a view of them, since its
+result is consumed before the next block is drawn, but must not keep one.
+
 ``mc_inspection_pmf`` marks a component failed when its lifetime is
 strictly below the row's r-th order statistic and locates each row's k-th
-failure without a running count: ``np.flatnonzero`` lists the failures of
-the whole block in row-major order, so a row's k-th failure sits k - 1
-places after the row's offset, the number of failures in the rows above it
-(an exclusive cumulative sum of the per-row counts).  Its flat position
+failure without a running count: ``np.flatnonzero`` lists the flat
+positions of the failures of the whole block in row-major order, so a row's
+failures start at its offset, the number of failures in the rows above it,
+which ``np.searchsorted`` finds as the place of the row's first flat
+position in that sorted list.  A row's k-th failure sits k - 1 places after
+its offset, if that is before the next row's offset, and its flat position
 modulo n is the component index.
 
 Exact floating-point ties between a lifetime and the r-th order statistic
@@ -69,7 +79,8 @@ _BLOCK_ELEMENTS = 1 << 15
 _BATCH_ELEMENTS = 1 << 21
 
 # predicate over (samples, row-wise order statistics), both (block, n)
-# arrays; a row's result may depend only on that row
+# views of the call's reused buffers; a row's result may depend only on that
+# row, and the result may be a view of them but must not be kept past the call
 EventFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -127,15 +138,22 @@ def _iter_batches(model: LifetimeModel, n: int, m_reps: int, seed: int):
     """(samples, ordered) row blocks of ``m_reps`` seeded replications.
 
     Each block holds at most ``_BLOCK_ELEMENTS`` lifetimes, or one row, and
-    ends at or before the end of its batch of ``_BATCH_ELEMENTS``.
+    ends at or before the end of its batch of ``_BATCH_ELEMENTS``.  Every
+    block is a view of the same two buffers, overwritten by the next one.
     """
     rng = np.random.default_rng(seed)
     batch, block = _rows(_BATCH_ELEMENTS, n), _rows(_BLOCK_ELEMENTS, n)
+    draws, ordered = np.empty((2, min(block, m_reps), n))
     for first in range(0, m_reps, batch):
         end = min(first + batch, m_reps)
         for start in range(first, end, block):
-            samples = model.sample(rng, (min(block, end - start), n))
-            yield samples, np.sort(samples, axis=1)
+            rows = min(block, end - start)
+            samples = model.sample(rng, (rows, n), out=draws[:rows])
+            # np.sort(samples, axis=1) without its fresh copy
+            sorted_rows = ordered[:rows]
+            sorted_rows[...] = samples
+            sorted_rows.sort(axis=1)
+            yield samples, sorted_rows
 
 
 def _check_run(m_reps: int, seed: int) -> tuple[int, int]:
@@ -246,12 +264,13 @@ def mc_inspection_pmf(
     counts = np.zeros(n + 1, dtype=np.int64)
     for samples, ordered in _iter_batches(model, n, m_reps, seed):
         failed = samples < ordered[:, cfg.r - 1, None]
-        per_row = np.count_nonzero(failed, axis=1)
-        # failures in row-major order: a row's k-th one sits k - 1 places
-        # after the failures of all rows above it
-        kth = np.cumsum(per_row) - per_row + (k - 1)
+        # flat positions of the failures in row-major order; row i's start at
+        # its offset edges[i], the first at or after position i * n
+        flat = np.flatnonzero(failed)
+        edges = np.searchsorted(flat, np.arange(0, (failed.shape[0] + 1) * n, n))
+        kth = edges[:-1] + (k - 1)
         # a row with fewer than k failures (float ties only) counts nowhere
-        hit = np.flatnonzero(failed)[kth[per_row >= k]] % n + 1
+        hit = flat[kth[kth < edges[1:]]] % n + 1
         counts += np.bincount(hit, minlength=n + 1)
     out = {}
     for m in cfg.detection_support(k):

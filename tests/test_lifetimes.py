@@ -294,6 +294,40 @@ def test_quantile_of_a_zero_dim_array_is_a_float(model):
     assert out == model.quantile(np.array([0.3]))[0]
 
 
+@pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
+def test_sample_into_a_buffer_returns_it_with_the_same_bits(model):
+    fresh = model.sample(np.random.default_rng(7), (30, 17))
+    buf = np.full((30, 17), -1.0)
+    assert model.sample(np.random.default_rng(7), (30, 17), out=buf) is buf
+    assert np.array_equal(buf, fresh)
+    # a row slice of a larger buffer, as the Monte-Carlo blocks use, leaves the other rows alone
+    buf = np.full((40, 17), -1.0)
+    rows = buf[:30]
+    assert model.sample(np.random.default_rng(7), (30, 17), out=rows) is rows
+    assert np.array_equal(rows, fresh)
+    assert np.all(buf[30:] == -1.0)
+
+
+class _ZeroRng:
+    """A generator stand-in whose uniforms are all exactly 0.0."""
+
+    def random(self, size, out=None):
+        if out is None:
+            return np.zeros(size)
+        out[...] = 0.0
+        return out
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
+def test_sampled_exact_zeros_become_the_least_positive_uniform(model):
+    least = model.quantile(np.nextafter(0.0, 1.0))
+    assert np.all(model.sample(_ZeroRng(), (3, 4)) == least)
+    buf = np.empty((3, 4))
+    assert model.sample(_ZeroRng(), (3, 4), out=buf) is buf
+    assert np.all(buf == least)
+    assert model.sample(_ZeroRng(), (0, 4)).shape == (0, 4)
+
+
 def test_parse_model_grammar(tmp_path):
     assert isinstance(parse_model("exp:2"), Exponential)
     w = parse_model("weibull:2,1.5")

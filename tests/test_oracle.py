@@ -85,6 +85,27 @@ def test_estimates_do_not_depend_on_batching(monkeypatch):
     assert means() == whole
 
 
+@pytest.mark.parametrize("model", [EXP, Empirical([1.0, 2.0, 3.0, 5.0, 8.0])], ids=repr)
+def test_blocks_reuse_two_buffers_and_keep_the_stream(monkeypatch, model):
+    # blocks of 83 rows, the last one shorter
+    monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 1000)
+    n, reps = 12, 700
+    reference = model.sample(np.random.default_rng(5), (reps, n))
+    first = None
+    start = 0
+    for samples, ordered in oracle._iter_batches(model, n, reps, seed=5):
+        rows = samples.shape[0]
+        assert np.array_equal(samples, reference[start:start + rows])
+        assert np.array_equal(ordered, np.sort(reference[start:start + rows], axis=1))
+        if first is None:
+            first = samples, ordered
+        else:
+            assert np.shares_memory(samples, first[0]) and np.shares_memory(ordered, first[1])
+        assert not np.shares_memory(samples, ordered)
+        start += rows
+    assert start == reps
+
+
 @pytest.mark.parametrize("n,reps", [(200, 2048), (12, 200_000)])
 def test_each_simulation_works_in_a_few_mebibytes(n, reps):
     cfg = SystemConfig(n, n // 2)
