@@ -12,16 +12,19 @@ simulate      seeded Monte-Carlo estimates for events or inspection counts
 Output is CSV by default or JSON with ``--format json``: a single object
 with ``meta`` (the command, the package version, the seed, or null where
 none applies, and every input given on the command line) and a ``data``
-array.  Exact probabilities carry numerator and denominator fields next to
-a fixed six-place decimal, so tables can be checked without parsing
-decimals.  Grids use the inclusive ``start:stop:step`` syntax with finite
-fields and at most ``MAX_GRID_POINTS`` points; when ``--x-grid`` is omitted
-the grid spans [0, quantile(0.999)], which must be finite.
+array.  An infinite input is echoed in ``meta`` as the string ``"inf"``, so
+the document is strict JSON.  Exact probabilities carry numerator and
+denominator fields next to a fixed six-place decimal, so tables can be
+checked without parsing decimals.  Grids use the inclusive
+``start:stop:step`` syntax with finite fields and at most
+``MAX_GRID_POINTS`` points; when ``--x-grid`` is omitted the grid spans
+[0, quantile(0.999)], which must be finite.
 
-Exit codes: 0 success, 2 argument or domain errors (one-line diagnostic on
-stderr naming the violated precondition), 3 I/O failure.  The ORDSTAT_SEED
-environment variable supplies the default seed for ``simulate``; a seed must
-be a nonnegative integer.
+Exit codes: 0 success, 2 argument or domain errors, 3 I/O failure.  Every
+error is one line on stderr, ``error: `` and the violated precondition;
+this holds for argparse's own errors too (an unknown flag, ``--t abc``), and
+``--help`` exits 0.  The ORDSTAT_SEED environment variable supplies the
+default seed for ``simulate``; a seed must be a nonnegative integer.
 
 This module only parses arguments and formats reports; all numeric work
 lives in the library modules, and no library module formats output.
@@ -114,11 +117,26 @@ def _x_grid(args, model) -> list[float]:
     return [i * hi / 200.0 for i in range(201)]
 
 
+def _mode(args, command: str, *modes) -> int:
+    """The index of the one mode whose flags (a tuple) are all given while no
+    flag of another mode is; else DomainError "{command} needs exactly one of"."""
+    given = [[getattr(args, flag[2:].replace("-", "_")) is not None for flag in flags]
+             for flags in modes]
+    touched = [i for i, flags in enumerate(given) if any(flags)]
+    if len(touched) == 1 and all(given[touched[0]]):
+        return touched[0]
+    labels = ["/".join(flags) for flags in modes]
+    choices = ", ".join(labels[:-1]) + ("," if len(labels) > 2 else "") + " or " + labels[-1]
+    raise DomainError(f"{command} needs exactly one of {choices}")
+
+
 def _meta(args) -> dict:
     """The command, the version, the seed (None if the command takes none) and
-    every input given on the command line."""
+    every input given on the command line, a non-finite float as its string
+    ("inf"), which strict JSON parsers accept."""
     meta = {"version": __version__, "seed": None}
-    meta.update((k, v) for k, v in vars(args).items() if v is not None and k not in _NOT_INPUTS)
+    meta.update((k, str(v) if isinstance(v, float) and not math.isfinite(v) else v)
+                for k, v in vars(args).items() if v is not None and k not in _NOT_INPUTS)
     return meta
 
 
@@ -130,9 +148,7 @@ def _grid_records(grid, **extra) -> list[dict]:
 def _cmd_joint(args, cfg: SystemConfig) -> Report:
     model = parse_model(args.model)
     xs = _x_grid(args, model)
-    if (args.t is None) == (args.t_grid is None):
-        raise DomainError("joint-cdf needs exactly one of --t or --t-grid")
-    if args.t_grid is not None:
+    if _mode(args, "joint-cdf", ("--t",), ("--t-grid",)):
         records = []
         for t in parse_grid(args.t_grid):
             records += _grid_records(eval_grid(cfg, model, xs, "joint", t=t), t=t)
@@ -144,18 +160,12 @@ def _cmd_joint(args, cfg: SystemConfig) -> Report:
 def _cmd_cond(args, cfg: SystemConfig) -> Report:
     model = parse_model(args.model)
     xs = _x_grid(args, model)
-    windowed = args.t1 is not None or args.t2 is not None
-    modes = sum([args.t is not None, windowed, args.at is not None])
-    if modes != 1:
-        raise DomainError("cond-cdf needs exactly one of --t, --t1/--t2, or --at")
-    if args.t is not None:
-        grid = eval_grid(cfg, model, xs, "given_leq", t=args.t)
-    elif windowed:
-        if args.t1 is None or args.t2 is None:
-            raise DomainError("window mode needs both --t1 and --t2")
-        grid = eval_grid(cfg, model, xs, "between", window=Window(args.t1, args.t2))
-    else:
-        grid = eval_grid(cfg, model, xs, "given_eq", t=args.at)
+    law = ("given_leq", "between", "given_eq")[
+        _mode(args, "cond-cdf", ("--t",), ("--t1", "--t2"), ("--at",))]
+    window = Window(args.t1, args.t2) if law == "between" else None
+    # a mode gives only its own flags, so at most one of --t and --at is set
+    grid = eval_grid(cfg, model, xs, law, t=args.t if args.at is None else args.at,
+                     window=window)
     return Report(["x", "value"], _grid_records(grid))
 
 
@@ -204,18 +214,15 @@ def _cmd_simulate(args, cfg: SystemConfig) -> Report:
         raise DomainError("simulate --target event takes no --k")
     if args.x is None:
         raise DomainError("simulate --target event needs --x")
-    if args.t is not None and (args.t1 is not None or args.t2 is not None):
-        raise DomainError("simulate --target event needs exactly one of --t or --t1/--t2")
+    windowed = _mode(args, "simulate --target event", ("--t",), ("--t1", "--t2"))
     event = first_observation_leq(args.x)
-    if args.t1 is not None and args.t2 is not None:
+    if windowed:
         window = order_stat_in_window(cfg, Window(args.t1, args.t2))
         estimate = mc_event_prob(cfg, model, event, args.reps, args.seed, given=window)
-    elif args.t is not None:
+    else:
         stat_event = order_stat_leq(cfg, args.t)
         estimate = mc_event_prob(cfg, model, lambda s, o: event(s, o) & stat_event(s, o),
                                  args.reps, args.seed)
-    else:
-        raise DomainError("simulate --target event needs --t, or both --t1 and --t2")
     header = ["estimate", "std_error", "replications", "conditioned_fraction"]
     record = {
         "estimate": _dec(estimate.estimate),
@@ -245,17 +252,25 @@ def _emit(text: str, path: str | None) -> None:
             handle.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise DomainError, which main reports."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--output", metavar="PATH", default=None,
                         help="write the report to PATH instead of stdout")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ordstat",
         description="Order-statistic conditional laws and inspection planning "
                     "for k-out-of-n systems.",
     )
+    # every subcommand parser is a _Parser too, the class of its parent
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, help_text, **kwargs):
@@ -305,12 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         cfg = SystemConfig(args.n, args.r)
         if "seed" in vars(args):  # resolved here, so meta records the seed used
             args.seed = _seed(args.seed)
@@ -322,6 +333,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except SystemExit as exc:  # --help, after printing the usage
+        return int(exc.code or 0)
     return 0
 
 

@@ -6,21 +6,24 @@ model wraps a fixed sample as a right-continuous step CDF; it is valid
 wherever only the CDF or sampling is needed and refuses density evaluations
 and partial moments.
 
-``cdf``, ``pdf`` and ``quantile`` accept floats or numpy arrays and work
-elementwise.  ``cdf`` and ``pdf`` only convert their argument, with
-``errors._floats``, and check no range: what numpy cannot convert to floats
-raises DomainError, and None, like NaN, gives NaN.  Every elementwise result
-in the package follows one rule, ``_finish``: a 0-d result is returned as a
-plain float and anything else as the array, so a scalar in gives a float out.
+Each model writes only its formulas over float64 arrays, ``_cdf(x)``,
+``_pdf(x)`` (the base one raises DensityUnsupportedError) and
+``_from_uniform(u)``; ``LifetimeModel`` owns the conversion of arguments,
+the scalar/array rule and the repr.  ``cdf``, ``pdf`` and ``quantile``
+accept floats or numpy arrays and work elementwise.  ``cdf`` and ``pdf``
+only convert their argument, with ``errors._floats``, and check no range:
+what numpy cannot convert to floats raises DomainError, and None, like NaN,
+gives NaN.  Every elementwise result in the package follows one rule,
+``_finish``: a 0-d result is returned as a plain float and anything else as
+the array, so a scalar in gives a float out.
 
-Each model writes its quantile formula once, as ``_from_uniform(u)``: ``u``
-is a float64 array in (0, 1) that the caller owns, and the method overwrites
-it with the quantiles and returns it.  ``quantile`` hands it a checked copy
-of its argument, and ``sample`` the uniforms it has just drawn, so a batch
-of lifetimes costs one allocation, or none when ``sample`` is given an
-``out`` buffer, and a scalar gets the same bits as an array element.  A
-quantile beyond the largest float comes out as inf, its correctly rounded
-value.
+``_from_uniform(u)`` is the quantile formula: ``u`` is a float64 array in
+(0, 1) that the caller owns, and the method overwrites it with the
+quantiles and returns it.  ``quantile`` hands it a checked copy of its
+argument, and ``sample`` the uniforms it has just drawn, so a batch of
+lifetimes costs one allocation, or none when ``sample`` is given an ``out``
+buffer, and a scalar gets the same bits as an array element.  A quantile
+beyond the largest float comes out as inf, its correctly rounded value.
 
 Weibull shapes must be at least 0.01; below that the quantile overflows to
 inf for ordinary probabilities.
@@ -109,9 +112,21 @@ def _weibull_partial_moment(shape, scale, a, b):
 class LifetimeModel(ABC):
     """A nonnegative lifetime law described by its CDF."""
 
-    @abstractmethod
     def cdf(self, x):
         """P{X <= x}."""
+        return _finish(self._cdf(_floats(x, _X_RULE)))
+
+    def pdf(self, x):
+        """Density F'(x); models without one raise DensityUnsupportedError."""
+        return _finish(self._pdf(_floats(x, _X_RULE)))
+
+    @abstractmethod
+    def _cdf(self, x):
+        """F over ``x``, a float64 array."""
+
+    def _pdf(self, x):
+        """f over ``x``, a float64 array."""
+        raise DensityUnsupportedError(f"{type(self).__name__} does not expose a density")
 
     @abstractmethod
     def _from_uniform(self, u):
@@ -122,10 +137,6 @@ class LifetimeModel(ABC):
         u = np.array(_reals(u, _ABOVE_ZERO, _BELOW_ONE, "u must lie strictly inside (0, 1)"))
         with np.errstate(over="ignore"):
             return _finish(self._from_uniform(u))
-
-    def pdf(self, x):
-        """Density F'(x); models without one raise DensityUnsupportedError."""
-        raise DensityUnsupportedError(f"{type(self).__name__} does not expose a density")
 
     def sample(self, rng: np.random.Generator, size, out=None):
         """Draw lifetimes by inverse-CDF transformation of uniforms from ``rng``.
@@ -153,6 +164,11 @@ class LifetimeModel(ABC):
         """
         raise DensityUnsupportedError(f"{type(self).__name__} does not expose a density")
 
+    def __repr__(self):
+        # the public attributes, in the order __init__ sets them
+        params = ", ".join(f"{k}={v!r}" for k, v in vars(self).items() if not k.startswith("_"))
+        return f"{type(self).__name__}({params})"
+
 
 class Exponential(LifetimeModel):
     """Exponential(rate): F(x) = 1 - exp(-rate * x)."""
@@ -161,14 +177,12 @@ class Exponential(LifetimeModel):
         self.rate = _real(rate, _ABOVE_ZERO, _FINITE, "rate must be a positive finite number")
         self._x_max = _SATURATION / self.rate
 
-    def cdf(self, x):
-        arr = _floats(x, _X_RULE)
-        return _finish(-np.expm1(-self.rate * _clip_time(arr, self._x_max)))
+    def _cdf(self, x):
+        return -np.expm1(-self.rate * _clip_time(x, self._x_max))
 
-    def pdf(self, x):
-        arr = _floats(x, _X_RULE)
-        density = self.rate * np.exp(-self.rate * _clip_time(arr, self._x_max))
-        return _finish(np.where(arr < 0.0, 0.0, density))
+    def _pdf(self, x):
+        density = self.rate * np.exp(-self.rate * _clip_time(x, self._x_max))
+        return np.where(x < 0.0, 0.0, density)
 
     def _from_uniform(self, u):
         np.negative(u, out=u)
@@ -179,9 +193,6 @@ class Exponential(LifetimeModel):
     def partial_moment(self, a: float, b: float) -> float:
         return _weibull_partial_moment(1.0, 1.0 / self.rate, a, b)
 
-    def __repr__(self):
-        return f"Exponential(rate={self.rate!r})"
-
 
 class Weibull(LifetimeModel):
     """Weibull(shape, scale): F(x) = 1 - exp(-(x / scale)**shape)."""
@@ -191,19 +202,17 @@ class Weibull(LifetimeModel):
         self.scale = _real(scale, _ABOVE_ZERO, _FINITE, "scale must be a positive finite number")
         self._x_max = self.scale * _SATURATION ** (1.0 / self.shape)
 
-    def cdf(self, x):
-        arr = _floats(x, _X_RULE)
-        z = _clip_time(arr, self._x_max) / self.scale
-        return _finish(-np.expm1(-(z**self.shape)))
+    def _cdf(self, x):
+        z = _clip_time(x, self._x_max) / self.scale
+        return -np.expm1(-(z**self.shape))
 
-    def pdf(self, x):
-        arr = _floats(x, _X_RULE)
-        z = _clip_time(arr, self._x_max) / self.scale
+    def _pdf(self, x):
+        z = _clip_time(x, self._x_max) / self.scale
         # for shape < 1, z**(shape-1) is legitimately +inf at 0 and may
         # overflow to +inf just above it, where the density exceeds every float
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             body = (self.shape / self.scale) * z ** (self.shape - 1.0) * np.exp(-(z**self.shape))
-        return _finish(np.where(arr < 0.0, 0.0, body))
+        return np.where(x < 0.0, 0.0, body)
 
     def _from_uniform(self, u):
         np.negative(u, out=u)
@@ -218,9 +227,6 @@ class Weibull(LifetimeModel):
     def partial_moment(self, a: float, b: float) -> float:
         return _weibull_partial_moment(self.shape, self.scale, a, b)
 
-    def __repr__(self):
-        return f"Weibull(shape={self.shape!r}, scale={self.scale!r})"
-
 
 class Uniform(LifetimeModel):
     """Uniform(lo, hi) on [lo, hi] with 0 <= lo < hi."""
@@ -229,15 +235,13 @@ class Uniform(LifetimeModel):
         self.lo = _real(lo, 0.0, _FINITE, "lo must be finite and >= 0")
         self.hi = _real(hi, math.nextafter(self.lo, math.inf), _FINITE, "hi must be finite and > lo")
 
-    def cdf(self, x):
-        arr = _floats(x, _X_RULE)
-        return _finish(_clip((arr - self.lo) / (self.hi - self.lo), 0.0, 1.0))
+    def _cdf(self, x):
+        return _clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
-    def pdf(self, x):
-        arr = _floats(x, _X_RULE)
+    def _pdf(self, x):
         # NaN is not outside [lo, hi], and its density is NaN, as in the other models
-        density = np.where(np.isnan(arr), np.nan, 1.0 / (self.hi - self.lo))
-        return _finish(np.where((arr < self.lo) | (arr > self.hi), 0.0, density))
+        density = np.where(np.isnan(x), np.nan, 1.0 / (self.hi - self.lo))
+        return np.where((x < self.lo) | (x > self.hi), 0.0, density)
 
     def _from_uniform(self, u):
         u *= self.hi - self.lo
@@ -248,9 +252,6 @@ class Uniform(LifetimeModel):
         a, b = _interval(a, b)
         a, b = max(a, self.lo), min(b, self.hi)
         return (b - a) * (b + a) / (2.0 * (self.hi - self.lo)) if a < b else 0.0
-
-    def __repr__(self):
-        return f"Uniform(lo={self.lo!r}, hi={self.hi!r})"
 
 
 class Empirical(LifetimeModel):
@@ -266,11 +267,10 @@ class Empirical(LifetimeModel):
         if self.values.size == 0:
             raise DomainError("empirical sample must be nonempty")
 
-    def cdf(self, x):
-        arr = _floats(x, _X_RULE)
+    def _cdf(self, x):
         # searchsorted puts NaN after every value; F(NaN) is NaN, as in the other models
-        fraction = np.searchsorted(self.values, arr, side="right") / self.values.size
-        return _finish(np.where(np.isnan(arr), np.nan, fraction))
+        fraction = np.searchsorted(self.values, x, side="right") / self.values.size
+        return np.where(np.isnan(x), np.nan, fraction)
 
     def _from_uniform(self, u):
         u *= self.values.size

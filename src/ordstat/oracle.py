@@ -162,6 +162,12 @@ def _check_run(m_reps: int, seed: int) -> tuple[int, int]:
             _integer(seed, 0, inf, "seed must be a nonnegative integer"))
 
 
+def _proportion(hits: int, kept: int, m_reps: int) -> McEstimate:
+    """hits / kept, of ``kept`` accepted of ``m_reps`` replications, with its binomial error."""
+    p_hat = hits / kept
+    return McEstimate(p_hat, m_reps, sqrt(p_hat * (1.0 - p_hat) / kept), kept / m_reps)
+
+
 def mc_event_prob(
     cfg: SystemConfig,
     model: LifetimeModel,
@@ -192,8 +198,7 @@ def mc_event_prob(
             kept += int(np.count_nonzero(keep))
     if kept == 0:
         raise NullConditioningError("no replication satisfied the conditioning event")
-    p_hat = hits / kept
-    return McEstimate(p_hat, m_reps, sqrt(p_hat * (1.0 - p_hat) / kept), kept / m_reps)
+    return _proportion(hits, kept, m_reps)
 
 
 def mc_event_mean(
@@ -272,11 +277,7 @@ def mc_inspection_pmf(
         # a row with fewer than k failures (float ties only) counts nowhere
         hit = flat[kth[kth < edges[1:]]] % n + 1
         counts += np.bincount(hit, minlength=n + 1)
-    out = {}
-    for m in cfg.detection_support(k):
-        p_hat = counts[m] / m_reps
-        out[m] = McEstimate(p_hat, m_reps, sqrt(p_hat * (1.0 - p_hat) / m_reps))
-    return out
+    return {m: _proportion(int(counts[m]), m_reps, m_reps) for m in cfg.detection_support(k)}
 
 
 def exhaustive_inspection_pmf(cfg: SystemConfig, k: int) -> InspectionPmf:

@@ -362,6 +362,83 @@ def test_unknown_flag_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["cond-cdf", "--n", "5", "--r", "2", "--model", "exp:1", "--t", "abc"], "'abc'"),
+        (["bogus"], "'bogus'"),
+        ([], "command"),
+        (["cond-cdf", "--r", "2", "--model", "exp:1", "--t", "1"], "--n"),
+        (["inspections", "--n", "12", "--r", "5", "--k", "3", "--bogus"], "--bogus"),
+    ],
+    ids=["bad-float", "unknown-command", "no-command", "missing-n", "unknown-flag"],
+)
+def test_argument_errors_print_one_line(capsys, argv, needle):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["cond-cdf", "--help"]], ids=["top", "cond-cdf"])
+def test_help_exits_zero(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out.startswith("usage: ordstat") and err == ""
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["cond-cdf", "--model", "exp:1", "--t1", "1", "--x-grid", "0:1:1"],
+         "cond-cdf needs exactly one of --t, --t1/--t2, or --at"),
+        (["cond-cdf", "--model", "exp:1", "--t2", "2", "--at", "1", "--x-grid", "0:1:1"],
+         "cond-cdf needs exactly one of --t, --t1/--t2, or --at"),
+        (["simulate", "--target", "event", "--model", "exp:1", "--x", "1", "--t1", "1"],
+         "simulate --target event needs exactly one of --t or --t1/--t2"),
+        (["simulate", "--target", "event", "--model", "exp:1", "--x", "1"],
+         "simulate --target event needs exactly one of --t or --t1/--t2"),
+        (["simulate", "--target", "inspections", "--model", "exp:1"],
+         "simulate --target inspections needs --k"),
+        (["simulate", "--target", "event", "--model", "exp:1", "--t", "1"],
+         "simulate --target event needs --x"),
+    ],
+    ids=["cond-t1", "cond-t2-at", "event-t1", "event-none", "inspections-no-k", "event-no-x"],
+)
+def test_incomplete_modes_exit_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv[0], "--n", "5", "--r", "2", *argv[1:])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def _no_constant(name):
+    raise AssertionError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["cond-cdf", "--model", "exp:1", "--t", "inf", "--x-grid", "0:1:0.5"], "t"),
+        (["simulate", "--target", "event", "--model", "exp:1", "--x", "inf", "--t", "1",
+          "--reps", "100"], "x"),
+    ],
+    ids=["cond-cdf", "simulate"],
+)
+def test_json_echoes_an_infinite_input_as_a_string(capsys, argv, key):
+    code, out, _ = run_cli(capsys, argv[0], "--n", "5", "--r", "2", *argv[1:], "--format", "json")
+    assert code == 0
+    assert json.loads(out, parse_constant=_no_constant)["meta"][key] == "inf"
+
+
+def test_empirical_file_with_a_bad_line_exits_two(capsys, tmp_path):
+    path = tmp_path / "values.csv"
+    path.write_text("1.5\nabc\n2.0\n")
+    code, out, err = run_cli(
+        capsys, "cond-cdf", "--n", "5", "--r", "2", "--model", f"empirical:@{path}",
+        "--t", "1", "--x-grid", "0:1:1",
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {path}:2: not a number: 'abc'\n"
+
+
 def test_unwritable_output_exits_three(capsys, tmp_path):
     missing_dir = tmp_path / "not" / "there" / "out.csv"
     code, _, err = run_cli(

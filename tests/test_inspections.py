@@ -211,3 +211,9 @@ def test_pmf_rejects_float_probabilities():
     cfg = SystemConfig(3, 3)
     with pytest.raises(DomainError, match="exact rationals"):
         InspectionPmf(cfg, 1, (1, 2), (0.5, 0.5))
+
+
+def test_pmf_rejects_a_negative_probability():
+    cfg = SystemConfig(3, 3)
+    with pytest.raises(DomainError, match="must be nonnegative"):
+        InspectionPmf(cfg, 1, (1, 2), (Fraction(3, 2), Fraction(-1, 2)))  # sums to 1

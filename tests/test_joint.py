@@ -593,6 +593,9 @@ def test_eval_grid_dispatch_and_validation():
             EvalGrid(points, (0.5, 0.6))
     grid = EvalGrid((2.0,), (0.5,))  # one point: nothing to compare, still a grid
     assert grid.points.tolist() == [2.0] and grid.values.tolist() == [0.5]
+    for points, values in (((), ()), ((0.0, 1.0), (0.5,)), (((0.0, 1.0),), ((0.5, 0.6),))):
+        with pytest.raises(DomainError, match="matching, nonempty points and values"):
+            EvalGrid(points, values)
 
 
 # --- array evaluation of the x-laws ------------------------------------------

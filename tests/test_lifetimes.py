@@ -204,6 +204,23 @@ def test_empirical_has_no_density():
     m = Empirical([1.0, 2.0])
     with pytest.raises(DensityUnsupportedError):
         m.pdf(1.0)
+    # the argument is converted first, as in every other model
+    with pytest.raises(DomainError, match="x must be a number"):
+        m.pdf("abc")
+
+
+@pytest.mark.parametrize(
+    "model,text",
+    [
+        (Exponential(2.0), "Exponential(rate=2.0)"),
+        (Weibull(0.5, 3.0), "Weibull(shape=0.5, scale=3.0)"),
+        (Uniform(1.0, 4.0), "Uniform(lo=1.0, hi=4.0)"),
+        (Empirical([3.0, 1.0, 2.0]), "Empirical(size=3)"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+)
+def test_repr_names_the_parameters(model, text):
+    assert repr(model) == text
 
 
 @pytest.mark.parametrize(

@@ -179,6 +179,22 @@ def test_impossible_conditioning_raises():
             cfg, EXP, first_observation_leq(1.0), 10_000, seed=2,
             given=lambda s, o: np.zeros(s.shape[0], dtype=bool),
         )
+    with pytest.raises(NullConditioningError, match="no replication satisfied"):
+        mc_event_mean(
+            cfg, EXP, lambda s, o: o[:, 1], 10_000, seed=2,
+            given=lambda s, o: np.zeros(s.shape[0], dtype=bool),
+        )
+
+
+def test_every_estimate_is_a_float():
+    cfg = SystemConfig(6, 3)
+    estimates = [
+        mc_event_prob(cfg, EXP, first_observation_leq(1.0), 1_000, seed=4),
+        mc_event_mean(cfg, EXP, lambda s, o: o[:, 2], 1_000, seed=4),
+        *mc_inspection_pmf(cfg, EXP, 2, 1_000, seed=4).values(),
+    ]
+    for est in estimates:
+        assert type(est.estimate) is float and type(est.std_error) is float
 
 
 def test_event_mean_recovers_model_mean():
