@@ -14,6 +14,13 @@ The library computes, for an iid sample of component lifetimes:
 
 A command-line front end (``ordstat``) exposes every computation with CSV
 and JSON output.
+
+The package imports all of its modules eagerly: the benchmark's tracer wraps
+the layer functions of the ``ordstat`` modules already loaded, so a module
+imported on first use would go untraced.  What is deferred is scipy, the
+bulk of the import time: ``special`` imports ``scipy.special`` at the first
+tail or gamma call, so the exact inspection laws and the oracles never load
+it.
 """
 
 __version__ = "0.1.0"

@@ -34,11 +34,11 @@ from math import lgamma
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import xlog1py, xlogy
 
-from .errors import DomainError, NullConditioningError, _floats, _reals, _time, _times
+from .errors import (
+    DensityUnsupportedError, DomainError, NullConditioningError, _floats, _reals, _time, _times)
 from .lifetimes import LifetimeModel, _clip, _finish
-from .special import _tails
+from .special import _sp, _tails
 from .system import SystemConfig, Window
 
 __all__ = [
@@ -229,19 +229,29 @@ def cond_cdf_given_eq(cfg: SystemConfig, model: LifetimeModel, x, t):
         (n-r)(F(x) - F(t)) / (n (1 - F(t))) + r/n    x >= t
 
     Right-continuous, with a jump of exactly 1/n at x = t; requires
-    0 < F(t) < 1 so that both branches are defined.  Elementwise over an
-    array x.
+    0 < F(t) < 1 so that both branches are defined, or F(t) = 0 at r = 1
+    with f(t) > 0, where X_{1:n} has density n f(t) at t and the law is
+    1/n + (n-1)/n * F(x) for x >= t.  Elementwise over an array x.
     """
     x = _times(x, "x")
     t = _time(t, "t")
     ft = model.cdf(t)
-    if not 0.0 < ft < 1.0:
-        raise DomainError(f"need 0 < F(t) < 1 at the conditioning point, got F({t}) = {ft}")
     n, r = cfg.n, cfg.r
+    if not (0.0 < ft < 1.0 or ft == 0.0 and r == 1 and _has_density_at(model, t)):
+        raise DomainError(f"need 0 < F(t) < 1 at the conditioning point, got F({t}) = {ft}")
     fx = model.cdf(x)
-    below = (r - 1) / n * fx / ft
+    # the x < t branch is 0 at r = 1, where (r-1)/n * F(x)/F(t) may be 0/0
+    below = (r - 1) / n * fx / ft if r > 1 else 0.0
     above = (n - r) * (fx - ft) / (n * (1.0 - ft)) + r / n
     return _clip01(np.where(x < t, below, above))
+
+
+def _has_density_at(model: LifetimeModel, t: float) -> bool:
+    """Whether f(t) > 0; False for a model without a density."""
+    try:
+        return model.pdf(t) > 0.0
+    except DensityUnsupportedError:
+        return False
 
 
 def _checked_observations(cfg: SystemConfig, xs: Sequence, t) -> tuple[list[float], float]:
@@ -283,7 +293,7 @@ def joint_pdf_multi(cfg: SystemConfig, model: LifetimeModel, xs: Sequence, t) ->
     # in logs, so that the coefficient cannot overflow; xlogy and xlog1py
     # give 0 * log(0) = 0, keeping F(t) = 0 and F(t) = 1 defined
     log_coef = lgamma(n - k + 1) - lgamma(r - k) - lgamma(n - r + 1)
-    log_powers = xlogy(r - k - 1, ft) + xlog1py(n - r, -ft)
+    log_powers = _sp.xlogy(r - k - 1, ft) + _sp.xlog1py(n - r, -ft)
     return math.exp(log_coef + log_powers) * model.pdf(t) * prod
 
 

@@ -35,11 +35,11 @@ import math
 from abc import ABC, abstractmethod
 
 import numpy as np
-from scipy.special import gamma, gammainc, gammaincc
 
 from .errors import (
     _ABOVE_ZERO, _BELOW_ONE, _FINITE, DensityUnsupportedError, DomainError, _floats, _min, _real,
     _reals)
+from .special import _sp
 
 __all__ = [
     "LifetimeModel",
@@ -97,16 +97,16 @@ def _weibull_partial_moment(shape, scale, a, b):
     """
     a, b = _interval(a, b)
     s = 1.0 + 1.0 / shape
-    mean = scale * float(gamma(s))
+    mean = scale * float(_sp.gamma(s))
     if not math.isfinite(mean):
         raise DomainError(f"the mean scale*Gamma(1 + 1/shape) overflows at shape {shape!r}")
     # a y beyond the largest float is inf, where P = 1 and Q = 0
     with np.errstate(over="ignore"):
         ya, yb = np.float64(a / scale) ** shape, np.float64(b / scale) ** shape
-    lower_b, upper_a = gammainc(s, yb), gammaincc(s, ya)
+    lower_b, upper_a = _sp.gammainc(s, yb), _sp.gammaincc(s, ya)
     if upper_a < lower_b:
-        return mean * float(upper_a - gammaincc(s, yb))
-    return mean * float(lower_b - gammainc(s, ya))
+        return mean * float(upper_a - _sp.gammaincc(s, yb))
+    return mean * float(lower_b - _sp.gammainc(s, ya))
 
 
 class LifetimeModel(ABC):

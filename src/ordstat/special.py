@@ -23,17 +23,40 @@ elementwise over sequences of arguments, from one betainc call, with the
 conventions applied.  It checks nothing, for callers that have checked their
 arguments themselves.  ``binom_tail`` checks its arguments, 0 <= lo <= n + 1
 among them, and returns one tail from ``_tails``.
+
+scipy is imported at the first tail or gamma call, not with the package:
+``_sp`` is the one accessor through which this module, ``joint`` and
+``lifetimes`` reach ``scipy.special``.  The first read of any name from it
+imports ``scipy.special`` and copies its names onto ``_sp``, so every later
+read is a plain attribute load with no import statement on the call path.
+The exact inspection laws and the Monte-Carlo and enumeration oracles never
+load scipy.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
 from math import inf
-
-from scipy.special import betainc
+from types import ModuleType
 
 from .errors import _integer, _real
 
 __all__ = ["binom_tail", "reg_inc_beta"]
+
+
+def _import_on_first_read(name):
+    """The PEP 562 hook of ``_sp``: copy the names of ``scipy.special`` into it, then retire."""
+    names = vars(import_module("scipy.special"))
+    vars(_sp).update((key, value) for key, value in names.items() if not key.startswith("__"))
+    # the interpreter does not specialize attribute loads from a module with
+    # this hook (or from an object whose class has __getattr__), which costs
+    # about 40 ns per load
+    vars(_sp).pop("__getattr__", None)
+    return getattr(_sp, name)
+
+
+_sp = ModuleType(f"{__name__}._sp", "scipy.special, imported at the first read of one of its names")
+_sp.__getattr__ = _import_on_first_read
 
 
 def binom_tail(n_trials: int, lo: int, p: float) -> float:
@@ -56,7 +79,7 @@ def _tails(n_trials, lo, p) -> list[float]:
     """
     # a float shape b spares betainc the cast of an int array
     shape_b = [n - k + 1.0 for n, k in zip(n_trials, lo)]
-    tails = betainc(lo, shape_b, p).tolist()
+    tails = _sp.betainc(lo, shape_b, p).tolist()
     if min(lo) <= 0 or min(shape_b) <= 0:  # a full or an empty tail, whose convention betainc breaks
         tails = [1.0 if k <= 0 else 0.0 if b <= 0 else t for k, b, t in zip(lo, shape_b, tails)]
     return tails

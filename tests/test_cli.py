@@ -91,6 +91,16 @@ def test_exact_time_grid_shows_jump_of_one_over_n(capsys):
     assert abs(biggest - 0.1) < 0.005
 
 
+def test_first_failure_law_at_time_zero(capsys):
+    code, out, err = run_cli(
+        capsys, "cond-cdf", "--n", "5", "--r", "1", "--model", "exp:1", "--at", "0",
+        "--x-grid", "0:1:0.5",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["x,value", "0.000000,0.200000", "0.500000,0.514775",
+                                "1.000000,0.705696"]
+
+
 def test_json_output_round_trips_byte_identically(capsys):
     for argv in [
         ["inspections", "--n", "12", "--r", "5", "--k", "3", "--format", "json"],

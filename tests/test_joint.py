@@ -8,6 +8,7 @@ from scipy import stats
 from conftest import model_triplet
 from ordstat import (
     DomainError,
+    Empirical,
     EvalGrid,
     Exponential,
     NullConditioningError,
@@ -330,6 +331,25 @@ def test_exact_time_law_needs_interior_threshold():
         cond_cdf_given_eq(cfg, uniform, 1.5, 0.5)  # F(t) = 0
     with pytest.raises(DomainError):
         cond_cdf_given_eq(cfg, uniform, 1.5, 2.5)  # F(t) = 1
+
+
+def test_first_failure_law_at_a_time_where_f_is_zero():
+    # X_{1:5} has density 5 f(0) = 5 at 0, and the law is 1/n + (n-1)/n F(x)
+    cfg = SystemConfig(5, 1)
+    assert cond_cdf_given_eq(cfg, EXP, 0.5, 0.0) == 0.5147754722298933
+    assert cond_cdf_given_eq(cfg, EXP, 1.0, 0.0) == 0.7056964470628462
+    assert cond_cdf_given_eq(cfg, EXP, [0.0, 0.5], 0.0).tolist() == [0.2, 0.5147754722298933]
+    for x in (0.5, 1.0):  # the vanishing-window limit
+        assert cond_cdf_given_eq(cfg, EXP, x, 0.0) == pytest.approx(
+            cond_cdf_between(cfg, EXP, x, Window(0.0, 1e-9)), abs=1e-8
+        )
+    # no density at t: Uniform(1, 2) has f = 0 below 1, Empirical has none,
+    # and at r > 1 X_{r:n} has density 0 at a t with F(t) = 0
+    for model, t in [(Uniform(1.0, 2.0), 0.5), (Empirical([1.0, 2.0, 3.0]), 0.5)]:
+        with pytest.raises(DomainError):
+            cond_cdf_given_eq(cfg, model, 1.5, t)
+    with pytest.raises(DomainError):
+        cond_cdf_given_eq(SystemConfig(5, 2), EXP, 0.5, 0.0)
 
 
 # --- several observations and the order statistic ----------------------------
