@@ -17,10 +17,12 @@ and JSON output.
 
 The package imports all of its modules eagerly: the benchmark's tracer wraps
 the layer functions of the ``ordstat`` modules already loaded, so a module
-imported on first use would go untraced.  What is deferred is scipy, the
-bulk of the import time: ``special`` imports ``scipy.special`` at the first
-tail or gamma call, so the exact inspection laws and the oracles never load
-it.
+imported on first use would go untraced.  What is deferred is numpy and
+scipy, the bulk of the import time, through one helper,
+``errors._on_first_read``: numpy is imported at the first array operation
+and ``scipy.special`` at the first tail or gamma call.  So ``import ordstat``
+and the exact inspection laws load only the standard library, and the
+Monte-Carlo and enumeration oracles never load scipy.
 """
 
 __version__ = "0.1.0"

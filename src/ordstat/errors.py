@@ -4,13 +4,21 @@
 them (``_time`` and ``_times`` for the times, [0, inf]); anything else, NaN
 included, raises DomainError(f"{rule}, got ...").  Open bounds are closed
 float bounds: ``_ABOVE_ZERO`` for > 0, ``_FINITE`` for finite and
-``_BELOW_ONE`` for < 1.  A message is formatted only on failure."""
+``_BELOW_ONE`` for < 1.  A message is formatted only on failure.
+
+numpy and scipy are imported on first use, not with the package, through
+one helper, ``_on_first_read``: ``np`` here is numpy for every module of the
+package, ``oracle`` reads ``numpy.random`` and ``special`` reads
+``scipy.special`` through such an object.  So ``import ordstat`` and the
+exact inspection laws load only the standard library."""
+
+from __future__ import annotations
 
 import math
 import reprlib
 import sys
-
-import numpy as np
+from importlib import import_module
+from types import ModuleType
 
 __all__ = [
     "OrdstatError",
@@ -19,6 +27,31 @@ __all__ = [
     "DensityUnsupportedError",
     "EnumerationSizeError",
 ]
+
+
+def _on_first_read(name: str) -> ModuleType:
+    """A module object that imports module ``name`` at the first read of one of its names.
+
+    Its PEP 562 ``__getattr__`` imports ``name``, copies that module's
+    non-dunder names onto the object and removes itself, so every later read
+    is a plain attribute load with no import statement on the call path: the
+    interpreter does not specialize attribute loads from a module with this
+    hook (or from an object whose class has ``__getattr__``), which costs
+    about 40 ns per load.
+    """
+    stand_in = ModuleType(name, f"{name}, imported at the first read of one of its names")
+
+    def import_on_first_read(attr):
+        names = vars(import_module(name)).items()
+        vars(stand_in).update((key, value) for key, value in names if not key.startswith("__"))
+        vars(stand_in).pop("__getattr__", None)  # gone already if another thread got here first
+        return getattr(stand_in, attr)
+
+    stand_in.__getattr__ = import_on_first_read
+    return stand_in
+
+
+np = _on_first_read("numpy")
 
 
 class OrdstatError(Exception):
@@ -56,9 +89,6 @@ _ABOVE_ZERO = math.ulp(0.0)  # the least float > 0
 _FINITE = sys.float_info.max  # the largest finite float
 _BELOW_ONE = 1.0 - 2.0**-53  # the largest float < 1
 
-# the ufuncs themselves, which over all axes cost half of what ndarray.min and .max do
-_min, _max = np.minimum.reduce, np.maximum.reduce
-
 
 def _real(value, lo, hi, rule: str) -> float:
     """float(value) for a number in [lo, hi] ("2", numpy.float64(2)); else DomainError."""
@@ -85,9 +115,10 @@ def _reals(values, lo, hi, rule: str) -> np.ndarray:
     arr = _floats(values, rule)
     # one reduction for lo and one for a finite hi: a NaN propagates and fails
     # it, and the initial bound lets an empty array through; the mask only
-    # names the value
-    if not (_min(arr, None, initial=lo) >= lo
-            and (hi == math.inf or _max(arr, None, initial=hi) <= hi)):
+    # names the value.  The ufuncs' reduce costs half of what ndarray.min and
+    # .max do over all axes
+    if not (np.minimum.reduce(arr, None, initial=lo) >= lo
+            and (hi == math.inf or np.maximum.reduce(arr, None, initial=hi) <= hi)):
         bad = ~((arr >= lo) & (arr <= hi))
         raise DomainError(f"{rule}, got {float(arr[bad].flat[0])!r}")
     return arr

@@ -66,7 +66,14 @@ class InspectionPmf:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "k", self.cfg.validate_k(self.k))
+        k = self.cfg.validate_k(self.k)
+        # stored as tuples, so a list argument neither fails the support check
+        # nor leaves the frozen pmf mutable and unhashable
+        try:
+            support, probs = tuple(self.support), tuple(self.probs)
+        except TypeError:  # not iterable
+            raise DomainError("support and probabilities must be sequences") from None
+        self.__dict__.update(k=k, support=support, probs=probs)  # past the frozen __setattr__
         expected_support = tuple(self.cfg.detection_support(self.k))
         if self.support != expected_support:
             raise DomainError(

@@ -33,10 +33,9 @@ from dataclasses import dataclass
 from math import lgamma
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import (
-    DensityUnsupportedError, DomainError, NullConditioningError, _floats, _reals, _time, _times)
+    DensityUnsupportedError, DomainError, NullConditioningError, _floats, _reals, _time, _times,
+    np)
 from .lifetimes import LifetimeModel, _clip, _finish
 from .special import _sp, _tails
 from .system import SystemConfig, Window

@@ -34,11 +34,9 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 
-import numpy as np
-
 from .errors import (
-    _ABOVE_ZERO, _BELOW_ONE, _FINITE, DensityUnsupportedError, DomainError, _floats, _min, _real,
-    _reals)
+    _ABOVE_ZERO, _BELOW_ONE, _FINITE, DensityUnsupportedError, DomainError, _floats, _real, _reals,
+    np)
 from .special import _sp
 
 __all__ = [
@@ -148,7 +146,7 @@ class LifetimeModel(ABC):
         u = np.asarray(rng.random(size, out=out))  # a float for size None
         # rng.random can return exactly 0.0, which the quantile rejects; one
         # reduction finds it, where u.all() casts every float to bool
-        if _min(u, None, initial=1.0) == 0.0:
+        if np.minimum.reduce(u, None, initial=1.0) == 0.0:
             u[u == 0.0] = np.nextafter(0.0, 1.0)
         # u now lies strictly inside (0, 1), so quantile's check is not needed
         with np.errstate(over="ignore"):

@@ -32,9 +32,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import _times
+from .errors import _times, np
 from .joint import window_slopes
 from .lifetimes import LifetimeModel, _finish
 from .system import SystemConfig, Window

@@ -54,9 +54,8 @@ from fractions import Fraction
 from math import comb, inf, sqrt
 from typing import Callable
 
-import numpy as np
-
-from .errors import DomainError, EnumerationSizeError, NullConditioningError, _integer, _time
+from .errors import (
+    DomainError, EnumerationSizeError, NullConditioningError, _integer, _on_first_read, _time, np)
 from .inspections import InspectionPmf
 from .lifetimes import LifetimeModel
 from .system import SystemConfig, Window
@@ -78,10 +77,14 @@ _BLOCK_ELEMENTS = 1 << 15
 # lifetimes per batch, the summation unit of mc_event_mean
 _BATCH_ELEMENTS = 1 << 21
 
+# numpy imports its submodule random only when numpy.random is first read, so
+# ``np`` holds no copy of it
+_random = _on_first_read("numpy.random")
+
 # predicate over (samples, row-wise order statistics), both (block, n)
 # views of the call's reused buffers; a row's result may depend only on that
 # row, and the result may be a view of them but must not be kept past the call
-EventFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+EventFn = Callable[["np.ndarray", "np.ndarray"], "np.ndarray"]
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,7 @@ def _iter_batches(model: LifetimeModel, n: int, m_reps: int, seed: int):
     ends at or before the end of its batch of ``_BATCH_ELEMENTS``.  Every
     block is a view of the same two buffers, overwritten by the next one.
     """
-    rng = np.random.default_rng(seed)
+    rng = _random.default_rng(seed)
     batch, block = _rows(_BATCH_ELEMENTS, n), _rows(_BLOCK_ELEMENTS, n)
     draws, ordered = np.empty((2, min(block, m_reps), n))
     for first in range(0, m_reps, batch):

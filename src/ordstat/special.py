@@ -26,37 +26,23 @@ among them, and returns one tail from ``_tails``.
 
 scipy is imported at the first tail or gamma call, not with the package:
 ``_sp`` is the one accessor through which this module, ``joint`` and
-``lifetimes`` reach ``scipy.special``.  The first read of any name from it
-imports ``scipy.special`` and copies its names onto ``_sp``, so every later
-read is a plain attribute load with no import statement on the call path.
-The exact inspection laws and the Monte-Carlo and enumeration oracles never
-load scipy.
+``lifetimes`` reach ``scipy.special``.  It is made by
+``errors._on_first_read``, the helper that also defers numpy: the first read
+of any name from it imports ``scipy.special`` and copies its names onto
+``_sp``, so every later read is a plain attribute load with no import
+statement on the call path.  The exact inspection laws and the Monte-Carlo
+and enumeration oracles never load scipy.
 """
 
 from __future__ import annotations
 
-from importlib import import_module
 from math import inf
-from types import ModuleType
 
-from .errors import _integer, _real
+from .errors import _integer, _on_first_read, _real
 
 __all__ = ["binom_tail", "reg_inc_beta"]
 
-
-def _import_on_first_read(name):
-    """The PEP 562 hook of ``_sp``: copy the names of ``scipy.special`` into it, then retire."""
-    names = vars(import_module("scipy.special"))
-    vars(_sp).update((key, value) for key, value in names.items() if not key.startswith("__"))
-    # the interpreter does not specialize attribute loads from a module with
-    # this hook (or from an object whose class has __getattr__), which costs
-    # about 40 ns per load
-    vars(_sp).pop("__getattr__", None)
-    return getattr(_sp, name)
-
-
-_sp = ModuleType(f"{__name__}._sp", "scipy.special, imported at the first read of one of its names")
-_sp.__getattr__ = _import_on_first_read
+_sp = _on_first_read("scipy.special")
 
 
 def binom_tail(n_trials: int, lo: int, p: float) -> float:

@@ -158,6 +158,19 @@ def test_pmf_validation_rejects_inconsistent_inputs():
         InspectionPmf(cfg, 2, good.support, broken)
 
 
+def test_pmf_stores_list_arguments_as_tuples():
+    cfg = SystemConfig(6, 4)
+    good = inspection_pmf(cfg, 2)
+    pmf = InspectionPmf(cfg, 2, list(good.support), list(good.probs))
+    assert type(pmf.support) is type(pmf.probs) is tuple
+    assert pmf == good and hash(pmf) == hash(good)
+    assert InspectionPmf(cfg, 2, [2, 3, 4, 5], good.probs).support == (2, 3, 4, 5)
+    with pytest.raises(DomainError, match=r"support must be m = 2\.\.5, got \(3, 4, 5\)"):
+        InspectionPmf(cfg, 2, [3, 4, 5], good.probs)
+    with pytest.raises(DomainError, match="must be sequences"):
+        InspectionPmf(cfg, 2, 5, good.probs)
+
+
 def test_csv_emission_format(capsys):
     pmf = inspection_pmf(SystemConfig(12, 5), 3)
     assert main(["inspections", "--n", "12", "--r", "5", "--k", "3"]) == 0

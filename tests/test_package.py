@@ -1,9 +1,13 @@
+import contextlib
 import importlib
+import io
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ordstat
 
@@ -40,9 +44,10 @@ def test_removed_aliases_are_gone():
         assert not hasattr(ordstat, name)
 
 
-# The suite itself imports scipy, so each check of what the package loads
-# runs in a fresh interpreter, and its last stdout line is the answer.
+# The suite itself imports numpy and scipy, so each check of what the package
+# loads runs in a fresh interpreter, and its last stdout line is the answer.
 SCIPY_LOADED = "\nimport sys; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+NUMPY_LOADED = "\nimport sys; print(any(m.split('.')[0] == 'numpy' for m in sys.modules))"
 
 
 def fresh_interpreter(code: str) -> str:
@@ -90,3 +95,66 @@ from scipy.special import betainc
 print(value.hex() == float(betainc(17, 24.0, Exponential(1.0).cdf(0.7))).hex())
 """
     assert fresh_interpreter(code) == "True"
+
+
+def test_import_loads_no_numpy():
+    assert fresh_interpreter("import ordstat" + NUMPY_LOADED) == "False"
+
+
+def test_inspection_commands_load_no_numpy():
+    code = """
+from ordstat.cli import main
+assert main(["inspections", "--n", "12", "--r", "7", "--k", "2", "--expected"]) == 0
+for fmt in ("csv", "json"):
+    assert main(["inspections", "--n", "12", "--r", "5", "--k", "3", "--format", fmt]) == 0
+"""
+    assert fresh_interpreter(code + NUMPY_LOADED) == "False"
+
+
+def test_exact_inspection_laws_load_no_numpy():
+    code = """
+from fractions import Fraction
+from ordstat import (SystemConfig, exhaustive_inspection_pmf, expected_inspections,
+                     inspection_pmf, lambda_coeff)
+cfg = SystemConfig(12, 7)
+pmf = inspection_pmf(cfg, 2)
+assert pmf == exhaustive_inspection_pmf(cfg, 2)
+assert expected_inspections(pmf) == Fraction(26, 7)
+assert lambda_coeff(cfg, 2) == Fraction(6 * 5, 12 * 11)
+"""
+    assert fresh_interpreter(code + NUMPY_LOADED) == "False"
+
+
+LAW_CALL = """
+from ordstat import Exponential, SystemConfig, order_stat_cdf
+order_stat_cdf(SystemConfig(40, 17), Exponential(1.0), 0.7)
+"""
+
+
+def test_first_law_call_loads_numpy_and_retires_the_hook():
+    code = """
+import sys
+from ordstat import errors
+assert "numpy" not in sys.modules and "__getattr__" in vars(errors.np)
+""" + LAW_CALL + """
+import numpy
+assert "__getattr__" not in vars(errors.np)  # retired, so later loads are plain ones
+print(errors.np.asarray is numpy.asarray)
+"""
+    assert fresh_interpreter(code) == "True"
+
+
+MC_ESTIMATE = """
+from ordstat import Exponential, SystemConfig, first_observation_leq, mc_event_prob, order_stat_leq
+cfg = SystemConfig(7, 3)
+est = mc_event_prob(cfg, Exponential(1.0), first_observation_leq(1.0), 5000, 11,
+                    given=order_stat_leq(cfg, 1.5))
+print(est.estimate.hex(), est.std_error.hex(), est.conditioned_fraction.hex())
+"""
+
+
+@pytest.mark.parametrize("first", ["", LAW_CALL], ids=["monte_carlo_first", "law_first"])
+def test_monte_carlo_gives_its_bits_whatever_reads_numpy_first(first):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(MC_ESTIMATE, {})
+    assert fresh_interpreter(first + MC_ESTIMATE) == out.getvalue().strip()
