@@ -16,6 +16,13 @@ other r - 1 - k lie after it (Johnson, Kemp & Kotz, *Univariate Discrete
 Distributions*, 3rd ed.).  The law does not depend on the lifetime
 distribution at all, so everything here is exact rational arithmetic;
 floats appear only on explicit conversion.
+
+An `InspectionPmf` is checked once and kept as integer weights over one
+denominator: `inspection_pmf` and `oracle.exhaustive_inspection_pmf` hold
+their counts over C(n, r-1) already, and the public constructor brings its
+Fractions over their least common denominator.  The Fractions of `probs`
+are built once, at the API, and `expected_inspections` is one integer sum
+over the same denominator.  The mean is k(n + 1)/r.
 """
 
 from __future__ import annotations
@@ -74,27 +81,53 @@ class InspectionPmf:
         except TypeError:  # not iterable
             raise DomainError("support and probabilities must be sequences") from None
         self.__dict__.update(k=k, support=support, probs=probs)  # past the frozen __setattr__
+        self._check_support(len(probs))
+        try:
+            nums, den = _over_one_denominator(probs)
+        except AttributeError:  # a float has no numerator
+            raise DomainError("probabilities must be exact rationals") from None
+        self._keep_weights(nums, den)
+
+    @classmethod
+    def _from_weights(cls, cfg: SystemConfig, k: int, support, nums, den: int) -> InspectionPmf:
+        """The pmf P{N = support[i]} = nums[i] / den from integer weights.
+
+        Runs the checks of the public constructor on the integers and builds
+        each Fraction once, with no lcm and no rescaling.
+        """
+        pmf = object.__new__(cls)
+        pmf.__dict__.update(cfg=cfg, k=cfg.validate_k(k), support=tuple(support))
+        pmf._check_support(len(nums))
+        pmf._keep_weights(nums, den)
+        pmf.__dict__["probs"] = tuple(Fraction(num, den) for num in nums)
+        return pmf
+
+    def _check_support(self, n_probs: int) -> None:
         expected_support = tuple(self.cfg.detection_support(self.k))
         if self.support != expected_support:
             raise DomainError(
                 f"support must be m = {expected_support[0]}..{expected_support[-1]}, got {self.support}"
             )
-        if len(self.probs) != len(self.support):
+        if n_probs != len(self.support):
             raise DomainError("one probability per support point required")
-        try:
-            nums, den = _over_one_denominator(self.probs)
-        except AttributeError:  # a float has no numerator
-            raise DomainError("probabilities must be exact rationals") from None
-        if any(num < 0 for num in nums):
+
+    def _keep_weights(self, nums, den: int) -> None:
+        """Check integer weights over one denominator and keep them for exact sums.
+
+        They are not fields, so they take no part in ==, hash or repr.
+        """
+        if min(nums) < 0:
             raise DomainError("probabilities must be nonnegative")
         if sum(nums) != den:
             raise DomainError("probabilities must sum to exactly 1")
+        self.__dict__.update(_nums=tuple(nums), _den=den)
 
     def prob(self, m: int) -> Fraction:
         """P{N = m}; zero at an integer m off the support.  A value such as 3.0 is used as 3."""
         m = _integer(m, -inf, inf, "m must be an integer")
-        if m in self.support:
-            return self.probs[self.support.index(m)]
+        i = m - self.support[0]  # the support is a contiguous range
+        if 0 <= i < len(self.support):
+            return self.probs[i]
         return Fraction(0)
 
     def as_dict(self) -> dict[int, Fraction]:
@@ -105,13 +138,11 @@ def inspection_pmf(cfg: SystemConfig, k: int) -> InspectionPmf:
     """Exact pmf of the inspection count over its support m = k .. n - r + k + 1."""
     k = cfg.validate_k(k)
     n, r = cfg.n, cfg.r
-    support = tuple(cfg.detection_support(k))
-    total = comb(n, r - 1)
-    probs = tuple(Fraction(comb(m - 1, k - 1) * comb(n - m, r - 1 - k), total) for m in support)
-    return InspectionPmf(cfg, k, support, probs)
+    support = cfg.detection_support(k)
+    nums = [comb(m - 1, k - 1) * comb(n - m, r - 1 - k) for m in support]
+    return InspectionPmf._from_weights(cfg, k, support, nums, comb(n, r - 1))
 
 
 def expected_inspections(pmf: InspectionPmf) -> Fraction:
     """Exact mean of the inspection count."""
-    nums, den = _over_one_denominator(pmf.probs)
-    return Fraction(sum(m * num for m, num in zip(pmf.support, nums)), den)
+    return Fraction(sum(m * num for m, num in zip(pmf.support, pmf._nums)), pmf._den)

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, inf, sqrt
 from typing import Callable
 
@@ -298,7 +297,4 @@ def exhaustive_inspection_pmf(cfg: SystemConfig, k: int) -> InspectionPmf:
     counts = dict.fromkeys(cfg.detection_support(k), 0)
     for failed in itertools.combinations(range(1, cfg.n + 1), cfg.r - 1):
         counts[failed[k - 1]] += 1
-    total = comb(cfg.n, cfg.r - 1)
-    support = tuple(counts)
-    probs = tuple(Fraction(counts[m], total) for m in support)
-    return InspectionPmf(cfg, k, support, probs)
+    return InspectionPmf._from_weights(cfg, k, counts.keys(), counts.values(), comb(cfg.n, cfg.r - 1))

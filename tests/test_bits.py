@@ -13,10 +13,14 @@ digests of the README ``simulate`` output were recorded from the
 implementation that drew each batch of up to 2**21 lifetimes as one array,
 before the simulation worked in cache-sized blocks; those of the other README
 commands from the implementation that checked real arguments by hand, before
-``errors._real`` and ``_reals``.
+``errors._real`` and ``_reals``.  The digest of the exact inspection laws was
+recorded from the implementation that brought each pmf over the lcm of its
+denominators, once to check it and again for its mean, before the pmf kept
+integer weights.
 """
 
 import hashlib
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +37,8 @@ from ordstat import (
     cond_cdf_between,
     cond_cdf_given_leq,
     cond_pdf_between,
+    expected_inspections,
+    inspection_pmf,
     joint_cdf_multi,
     joint_cdf_single,
     mc_event_mean,
@@ -214,6 +220,21 @@ def test_laws_are_pinned(model):
              pair_cond_joint_cdf(LAW_CFG, model, lo, hi, t, "min_leq"),
              pair_cond_joint_cdf(LAW_CFG, model, hi, top, t, "min_gt"))
     assert pairs == pins["pairs"]
+
+
+# every (n, r, k) with n < 60, then the largest system the benchmark reaches
+# and two at n = 400, one with k = r - 1 and one with the longest support
+INSPECTION_CASES = [(n, r, k) for n in range(2, 60) for r in range(2, n + 1) for k in range(1, r)]
+INSPECTION_CASES += [(150, 40, 20), (400, 200, 199), (400, 3, 1)]
+
+
+def test_inspection_laws_are_pinned():
+    laws = []
+    for n, r, k in INSPECTION_CASES:
+        pmf = inspection_pmf(SystemConfig(n, r), k)
+        laws.append((pmf.support, pmf.probs, expected_inspections(pmf)))
+    digest = hashlib.sha256(pickle.dumps(laws, protocol=4)).hexdigest()
+    assert (len(laws), digest[:16]) == (34223, "5e3233916510a222")
 
 
 # the two README simulate commands: sha256 of their stdout as CSV, then as JSON

@@ -11,6 +11,7 @@ from ordstat import (
     DomainError,
     InspectionPmf,
     SystemConfig,
+    exhaustive_inspection_pmf,
     expected_inspections,
     inspection_pmf,
     lambda_coeff,
@@ -169,6 +170,34 @@ def test_pmf_stores_list_arguments_as_tuples():
         InspectionPmf(cfg, 2, [3, 4, 5], good.probs)
     with pytest.raises(DomainError, match="must be sequences"):
         InspectionPmf(cfg, 2, 5, good.probs)
+
+
+@pytest.mark.parametrize("n,r,k", [(12, 5, 3), (12, 7, 2), (6, 6, 5), (150, 40, 20)])
+def test_library_pmf_equals_the_pmf_built_from_its_fractions(n, r, k):
+    cfg = SystemConfig(n, r)
+    built = [inspection_pmf(cfg, k)] + ([exhaustive_inspection_pmf(cfg, k)] if n <= 20 else [])
+    for pmf in built:
+        public = InspectionPmf(cfg, k, pmf.support, pmf.probs)
+        assert public == pmf and hash(public) == hash(pmf) and repr(public) == repr(pmf)
+        assert expected_inspections(public) == expected_inspections(pmf) == Fraction(k * (n + 1), r)
+
+
+# integer weights over C(6, 3) = 20 on the support 2..5 of (n, r, k) = (6, 4, 2),
+# whose law is (4, 6, 6, 4)
+@pytest.mark.parametrize("nums,message", [
+    ((8, -2, 8, 6), "probabilities must be nonnegative"),
+    ((4, 6, 6, 5), "probabilities must sum to exactly 1"),
+    ((4, 6, 6, 3), "probabilities must sum to exactly 1"),
+    ((4, 6, 10), "one probability per support point required"),
+])
+def test_bad_weights_raise_the_same_error_through_both_constructors(nums, message):
+    cfg = SystemConfig(6, 4)
+    support = tuple(cfg.detection_support(2))
+    with pytest.raises(DomainError) as public:
+        InspectionPmf(cfg, 2, support, [Fraction(num, 20) for num in nums])
+    with pytest.raises(DomainError) as private:
+        InspectionPmf._from_weights(cfg, 2, support, nums, 20)
+    assert str(public.value) == str(private.value) == message
 
 
 def test_csv_emission_format(capsys):
