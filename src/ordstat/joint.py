@@ -7,9 +7,13 @@ module evaluates:
 
 * the joint CDF P{X_1 <= x_1, ..., X_m <= x_m, X_{r:n} <= t} of m sample
   elements and the order statistic, for any x_i and t, by ``_joint_prob``,
+* the law of X_{r:n} itself, the m = 0 case of the same formula, and the
+  probability of a window t1 <= X_{r:n} <= t2,
 * the conditional laws of X_1 given X_{r:n} <= t, given t1 <= X_{r:n} <= t2,
   and given X_{r:n} = t (the vanishing-window limit, which jumps by exactly
-  1/n at x = t),
+  1/n at x = t); the last needs a positive density of X_{r:n} at t:
+  0 < F(t) < 1, or F(t) = 0 at r = 1, or F(t) = 1 at r = n, with f(t) > 0
+  at either end,
 * pairwise conditional joint CDFs of (X_1, X_2) given a sample extreme:
   the same formula at m = 2 and r = 1 or n, over its value at m = 0.
 
@@ -17,13 +21,14 @@ All closed forms are routed through upper binomial tails, which keeps a
 single code path valid for every 1 <= r <= n including r = 1 and r = n.
 
 Each public law computes F once per time it is given, F(x), F(t), F(t1)
-and F(t2), and hands those values to the private helpers ``_window_prob``,
-``_window_slopes`` and ``_joint_prob``, which take F values rather
-than times.  Every tail comes from ``special._tails``, several per call: the
-two of ``_window_prob``, the six of ``_window_slopes`` and the m + 1 of
-``_joint_prob``.  A survival function S = 1 - F computed on its own would be
-evaluated in the public laws alongside F and passed to the helpers in the
-same way.
+and F(t2), and hands those values to one of two private helpers, which take
+F values rather than times.  Each makes the one ``special._tails`` call of
+the law and returns its conditioning event's probability with it:
+``_joint_prob`` takes m + 2 tails, the m + 1 of the joint law and last the
+event X_{r:n} <= t (or > t); ``_window`` takes six, the two of the window
+probability and the four of its slopes.  A survival function S = 1 - F
+computed on its own would be evaluated in the public laws alongside F and
+passed to the helpers in the same way.
 """
 
 from __future__ import annotations
@@ -100,33 +105,32 @@ class EvalGrid:
 
 
 def order_stat_cdf(cfg: SystemConfig, model: LifetimeModel, t) -> float:
-    """P{X_{r:n} <= t}, the upper tail of Bin(n, F(t)) at r."""
+    """P{X_{r:n} <= t}, the upper tail of Bin(n, F(t)) at r: the m = 0 case of _joint_prob."""
     t = _time(t, "t")
-    return _tails((cfg.n,), (cfg.r,), (model.cdf(t),))[0]
+    return _joint_prob(cfg, [], model.cdf(t))[1]
 
 
-def _between(lo: float, hi: float) -> float:
-    """P{t1 <= X_{r:n} <= t2} from lo = P{X_{r:n} <= t1} and hi = P{X_{r:n} <= t2}."""
-    return max(0.0, hi - lo)
+def _window(cfg: SystemConfig, p1: float, p2: float):
+    """(P{t1 <= X_{r:n} <= t2}, up1, up2, mid1, mid2) from p1 = F(t1) and p2 = F(t2).
 
-
-def _window_prob(cfg: SystemConfig, p1: float, p2: float) -> float:
-    """P{t1 <= X_{r:n} <= t2} from p1 = F(t1) and p2 = F(t2)."""
-    return _between(*_tails((cfg.n, cfg.n), (cfg.r, cfg.r), (p1, p2)))
+    up_i = P{Bin(n - 1, p_i) >= r - 1} and mid_i = P{Bin(n - 1, p_i) >= r},
+    the tails of window_slopes.
+    """
+    n, r = cfg.n, cfg.r
+    lo, hi, *tails = _tails(
+        (n, n, n - 1, n - 1, n - 1, n - 1), (r, r, r - 1, r - 1, r, r), (p1, p2) * 3)
+    return max(0.0, hi - lo), *tails
 
 
 def window_prob(cfg: SystemConfig, model: LifetimeModel, window: Window) -> float:
     """P{t1 <= X_{r:n} <= t2}."""
-    return _window_prob(cfg, model.cdf(window.t1), model.cdf(window.t2))
+    return _window(cfg, model.cdf(window.t1), model.cdf(window.t2))[0]
 
 
 def _window_slopes(cfg: SystemConfig, window: Window, p1: float, p2: float):
     """window_slopes from p1 = F(t1) and p2 = F(t2)."""
-    n, r = cfg.n, cfg.r
-    lo, hi, up1, up2, mid1, mid2 = _tails(
-        (n, n, n - 1, n - 1, n - 1, n - 1), (r, r, r - 1, r - 1, r, r), (p1, p2) * 3)
-    prob = _between(lo, hi)
-    _check_event(prob, lambda: f"{{{window.t1} <= X_({r}:{n}) <= {window.t2}}}")
+    prob, up1, up2, mid1, mid2 = _window(cfg, p1, p2)
+    _check_event(prob, lambda: f"{{{window.t1} <= X_({cfg.r}:{cfg.n}) <= {window.t2}}}")
     return (up2 - up1) / prob, (up2 - mid1) / prob, (mid2 - mid1) / prob
 
 
@@ -144,14 +148,16 @@ def window_slopes(cfg: SystemConfig, model: LifetimeModel, window: Window):
 
 
 def _joint_prob(cfg: SystemConfig, fxs: Sequence, ft: float, above: bool = False):
-    """P{X_i <= x_i for i <= m, X_{r:n} <= t} from fxs = [F(x_1), ..., F(x_m)] and ft = F(t).
+    """(joint, event) from fxs = [F(x_1), ..., F(x_m)] and ft = F(t).
 
+    joint is P{X_i <= x_i for i <= m, X_{r:n} <= t} and event P{X_{r:n} <= t}.
     Element i fails by t with probability a_i = F(min(x_i, t)) and in (t, x_i]
     with b_i = (F(x_i) - F(t))+, so e_j, the coefficient of z^j in
     prod_i (b_i + a_i z), is the chance that j of them fail by t, and the law
-    is sum_j e_j P{Bin(n - m, F(t)) >= r - j}.  With ``above`` the event is
+    is sum_j e_j P{Bin(n - m, F(t)) >= r - j}.  With ``above`` both take
     X_{r:n} > t, from the lower tails P{Bin(n - m, F(t)) <= r - 1 - j} taken
-    in 1 - F(t).  Each F(x_i) may be an array; m = 0 gives the event itself.
+    in 1 - F(t).  Each F(x_i) may be an array.  The event is the last tail of
+    the same _tails call, the law's own m = 0 case.
     """
     n, r, m = cfg.n, cfg.r, len(fxs)
     e = [1.0]
@@ -163,12 +169,13 @@ def _joint_prob(cfg: SystemConfig, fxs: Sequence, ft: float, above: bool = False
         e = [b, a] if len(e) == 1 else [
             e[0] * b, *[e[j] * b + e[j - 1] * a for j in range(1, len(e))], e[-1] * a]
     # the lower tail at r - 1 - j in F is the upper one at n - m + 1 - r + j in 1 - F
-    ks, q = (range(n - m + 1 - r, n + 2 - r), 1.0 - ft) if above else (range(r, r - m - 1, -1), ft)
-    tails = _tails([n - m] * (m + 1), list(ks), [q] * (m + 1))
+    ks, k, q = ((range(n - m + 1 - r, n + 2 - r), n + 1 - r, 1.0 - ft) if above
+                else (range(r, r - m - 1, -1), r, ft))
+    *tails, event = _tails([n - m] * (m + 1) + [n], [*ks, k], [q] * (m + 2))
     total = e[0] * tails[0]
     for j in range(1, m + 1):
         total += e[j] * tails[j]
-    return total
+    return total, event
 
 
 def joint_cdf_single(cfg: SystemConfig, model: LifetimeModel, x, t):
@@ -179,7 +186,10 @@ def joint_cdf_single(cfg: SystemConfig, model: LifetimeModel, x, t):
     """
     x = _times(x, "x")
     t = _time(t, "t")
-    return _clip01(_joint_prob(cfg, [model.cdf(x)], model.cdf(t)))
+    # no clamp: for x > t the value is fl(b above + a below), with
+    # a = F(t), b = fl(F(x) - F(t)) and both tails in [0, 1], so it lies in
+    # [0, fl(a + b)], and fl(a + b) <= 1
+    return _joint_prob(cfg, [model.cdf(x)], model.cdf(t))[0]
 
 
 def cond_cdf_given_leq(cfg: SystemConfig, model: LifetimeModel, x, t):
@@ -189,12 +199,12 @@ def cond_cdf_given_leq(cfg: SystemConfig, model: LifetimeModel, x, t):
     for r = n this reduces to F(min(x, t)) / F(t), and for r = 1 to the law
     of an observation given that some observation is <= t.
     """
-    # t and the event are checked before x
+    # t, then x, then the event, which comes from the law's own tail call
     ft = model.cdf(_time(t, "t"))
-    denom = _tails((cfg.n,), (cfg.r,), (ft,))[0]
-    _check_event(denom, lambda: f"{{X_({cfg.r}:{cfg.n}) <= {t}}}")
     x = _times(x, "x")
-    return _clip01(_joint_prob(cfg, [model.cdf(x)], ft) / denom)
+    joint, event = _joint_prob(cfg, [model.cdf(x)], ft)
+    _check_event(event, lambda: f"{{X_({cfg.r}:{cfg.n}) <= {t}}}")
+    return _clip01(joint / event)
 
 
 def cond_cdf_between(cfg: SystemConfig, model: LifetimeModel, x, window: Window):
@@ -227,21 +237,24 @@ def cond_cdf_given_eq(cfg: SystemConfig, model: LifetimeModel, x, t):
         (r-1)/n * F(x)/F(t)                          x < t
         (n-r)(F(x) - F(t)) / (n (1 - F(t))) + r/n    x >= t
 
-    Right-continuous, with a jump of exactly 1/n at x = t; requires
-    0 < F(t) < 1 so that both branches are defined, or F(t) = 0 at r = 1
-    with f(t) > 0, where X_{1:n} has density n f(t) at t and the law is
-    1/n + (n-1)/n * F(x) for x >= t.  Elementwise over an array x.
+    Right-continuous, with a jump of exactly 1/n at x = t.  It requires a
+    positive density of X_{r:n} at t: 0 < F(t) < 1, so that both branches
+    are defined, or F(t) = 0 at r = 1, or F(t) = 1 at r = n, with f(t) > 0
+    at either end.  At r = 1 the x < t branch is 0, and at r = n the x >= t
+    branch is exactly 1.  Elementwise over an array x.
     """
     x = _times(x, "x")
     t = _time(t, "t")
     ft = model.cdf(t)
     n, r = cfg.n, cfg.r
-    if not (0.0 < ft < 1.0 or ft == 0.0 and r == 1 and _has_density_at(model, t)):
+    at_an_end = ft == 0.0 and r == 1 or ft == 1.0 and r == n
+    if not (0.0 < ft < 1.0 or at_an_end and _has_density_at(model, t)):
         raise DomainError(f"need 0 < F(t) < 1 at the conditioning point, got F({t}) = {ft}")
     fx = model.cdf(x)
-    # the x < t branch is 0 at r = 1, where (r-1)/n * F(x)/F(t) may be 0/0
+    # the x < t branch is 0 at r = 1, where (r-1)/n * F(x)/F(t) may be 0/0,
+    # and the x >= t branch is 1 at r = n, where its first term may be 0/0
     below = (r - 1) / n * fx / ft if r > 1 else 0.0
-    above = (n - r) * (fx - ft) / (n * (1.0 - ft)) + r / n
+    above = (n - r) * (fx - ft) / (n * (1.0 - ft)) + r / n if r < n else 1.0
     return _clip01(np.where(x < t, below, above))
 
 
@@ -268,7 +281,7 @@ def joint_cdf_multi(cfg: SystemConfig, model: LifetimeModel, xs: Sequence, t) ->
     P{Bin(n - k, F(t)) >= r - k}, which is 1 for k >= r.
     """
     values, t = _checked_observations(cfg, xs, t)
-    return _clip01(_joint_prob(cfg, [model.cdf(x) for x in values], model.cdf(t)))
+    return _clip01(_joint_prob(cfg, [model.cdf(x) for x in values], model.cdf(t))[0])
 
 
 def joint_pdf_multi(cfg: SystemConfig, model: LifetimeModel, xs: Sequence, t) -> float:
@@ -308,7 +321,7 @@ def pair_cond_joint_cdf(
     conditioning selects the event: ``"max_leq"`` is X_{n:n} <= t,
     ``"min_leq"`` is X_{1:n} <= t and ``"min_gt"`` is X_{1:n} > t.  The law
     is _joint_prob with two elements, r = n or r = 1, divided by the event
-    probability, _joint_prob with none.  Given the maximum the pair is iid
+    probability from the same call.  Given the maximum the pair is iid
     with marginals F(min(x_i, t)) / F(t), and given X_{1:n} > t iid with
     (F(x_i) - F(t))+ / (1 - F(t)); given X_{1:n} <= t it is dependent.
     """
@@ -319,10 +332,9 @@ def pair_cond_joint_cdf(
     x1, x2, t = _time(x1, "x1"), _time(x2, "x2"), _time(t, "t")
     extreme, above = _PAIR_EVENTS[conditioning]
     pair_cfg = SystemConfig(cfg.n, cfg.n if extreme == "max" else 1)
-    ft = model.cdf(t)
-    event = _joint_prob(pair_cfg, [], ft, above)
+    joint, event = _joint_prob(pair_cfg, [model.cdf(x1), model.cdf(x2)], model.cdf(t), above)
     _check_event(event, lambda: f"{{X_({pair_cfg.r}:{cfg.n}) {'>' if above else '<='} {t}}}")
-    return _clip01(_joint_prob(pair_cfg, [model.cdf(x1), model.cdf(x2)], ft, above) / event)
+    return _clip01(joint / event)
 
 
 # law name -> the x-law that eval_grid evaluates

@@ -101,6 +101,16 @@ def test_first_failure_law_at_time_zero(capsys):
                                 "1.000000,0.705696"]
 
 
+def test_last_failure_law_at_the_top_of_the_support(capsys):
+    code, out, err = run_cli(
+        capsys, "cond-cdf", "--n", "5", "--r", "5", "--model", "uniform:1,2", "--at", "2",
+        "--x-grid", "1:2:0.5",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["x,value", "1.000000,0.000000", "1.500000,0.400000",
+                                "2.000000,1.000000"]
+
+
 def test_json_output_round_trips_byte_identically(capsys):
     for argv in [
         ["inspections", "--n", "12", "--r", "5", "--k", "3", "--format", "json"],

@@ -24,10 +24,12 @@ from ordstat import (
     joint_cdf_multi,
     joint_cdf_single,
     joint_pdf_multi,
+    mrl_summary,
     order_stat_cdf,
     pair_cond_joint_cdf,
     window_prob,
 )
+import ordstat.joint
 from ordstat.joint import window_slopes
 from ordstat.oracle import mc_event_prob, order_stat_in_window, order_stat_leq
 
@@ -113,6 +115,23 @@ def test_joint_cdf_is_a_cdf_at_large_n():
     assert values[-1] == pytest.approx(order_stat_cdf(cfg, EXP, t), rel=1e-12, abs=0.0)
 
 
+def test_joint_cdf_stays_in_the_unit_interval_unclamped():
+    # a seeded sweep over the whole support, x at t and one ulp either side
+    rng = np.random.default_rng(11)
+    models = [*model_triplet(), Weibull(0.5, 2.0), Empirical([0.3, 1.0, 1.0, 2.5, 7.0])]
+    for _ in range(300):
+        n = int(rng.integers(1, 400))
+        cfg = SystemConfig(n, int(rng.integers(1, n + 1)))
+        t = 10.0 ** rng.uniform(-6.0, math.log10(300.0))
+        near = [math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)]
+        xs = np.concatenate([10.0 ** rng.uniform(-7.0, 3.0, 20), near, [0.0, math.inf]])
+        for model in models:
+            # the array path and the scalar one, which uses the builtin min and max
+            values = [*joint_cdf_single(cfg, model, xs, t).tolist(),
+                      *(joint_cdf_single(cfg, model, x, t) for x in near)]
+            assert all(0.0 <= v <= 1.0 for v in values), (cfg, model, t)
+
+
 def test_joint_cdf_rejects_negative_times():
     cfg = SystemConfig(4, 2)
     with pytest.raises(DomainError):
@@ -164,13 +183,29 @@ def test_conditional_null_event_raises():
         cond_cdf_given_leq(cfg, Uniform(1.0, 2.0), 1.5, 0.5)
 
 
-def test_threshold_and_event_are_checked_before_x():
-    # {X_(2:5) <= 0} is null, and the bad x is never looked at
+def test_threshold_then_x_then_event_are_checked():
+    # {X_(2:5) <= 0} is null; the event comes from the law's own tail call,
+    # so it is checked after x
     cfg = SystemConfig(5, 2)
-    with pytest.raises(NullConditioningError):
-        cond_cdf_given_leq(cfg, Exponential(1.0), [-1.0], 0.0)
     with pytest.raises(DomainError, match="^t must be"):
         cond_cdf_given_leq(cfg, Exponential(1.0), [-1.0], -1.0)
+    with pytest.raises(DomainError, match="^x must be"):
+        cond_cdf_given_leq(cfg, Exponential(1.0), [-1.0], 0.0)
+    with pytest.raises(NullConditioningError):
+        cond_cdf_given_leq(cfg, Exponential(1.0), [1.0], 0.0)
+
+
+def test_threshold_law_is_the_joint_law_over_the_event():
+    rng = np.random.default_rng(5)
+    for model in [*model_triplet(), Empirical([0.5, 1.0, 1.0, 2.5, 4.0])]:
+        for n in (1, 2, 9, 40, 250):
+            for r in sorted({1, (n + 1) // 2, n}):
+                cfg = SystemConfig(n, r)
+                t = model.quantile(rng.uniform(0.2, 0.9))
+                xs = np.append(np.sort(rng.uniform(0.0, 2.0 * t, 30)), [t, math.inf])
+                expected = np.clip(
+                    joint_cdf_single(cfg, model, xs, t) / order_stat_cdf(cfg, model, t), 0.0, 1.0)
+                assert cond_cdf_given_leq(cfg, model, xs, t).tobytes() == expected.tobytes()
 
 
 # --- conditioning on a window -------------------------------------------------
@@ -322,6 +357,24 @@ def test_exact_time_law_is_window_limit():
 def test_exact_time_law_tends_to_one():
     cfg = SystemConfig(10, 4)
     assert cond_cdf_given_eq(cfg, EXP, math.inf, 2.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_last_failure_law_at_the_top_of_the_support():
+    # X_{5:5} has density 5 at 2 under Uniform(1, 2), and the law is
+    # (n-1)/n * F(x) below t and 1 from t on
+    cfg = SystemConfig(5, 5)
+    assert cond_cdf_given_eq(cfg, Uniform(1.0, 2.0), [1.0, 1.5, 2.0], 2.0).tolist() == [
+        0.0, 0.4, 1.0]
+    assert cond_cdf_given_eq(cfg, Uniform(1.0, 2.0), 3.0, 2.0) == 1.0
+    assert EXP.cdf(40.0) == 1.0 and cond_cdf_given_eq(cfg, EXP, [1.0, 40.0], 40.0).tolist() == [
+        0.8 * EXP.cdf(1.0), 1.0]
+    for r in (1, 4):  # F(t) = 1 below r = n
+        with pytest.raises(DomainError, match="^need 0 < F"):
+            cond_cdf_given_eq(SystemConfig(5, r), Uniform(1.0, 2.0), 1.5, 2.0)
+    with pytest.raises(DomainError, match="^need 0 < F"):  # no density
+        cond_cdf_given_eq(cfg, Empirical([1.0, 2.0]), 1.5, 2.0)
+    assert cond_cdf_given_eq(SystemConfig(1, 1), Uniform(1.0, 2.0), [1.5, 2.0], 2.0).tolist() == [
+        0.0, 1.0]
 
 
 def test_exact_time_law_needs_interior_threshold():
@@ -648,3 +701,32 @@ def test_array_call_matches_scalar_calls(model, name, law):
 def test_array_call_rejects_bad_entries(name, law, bad):
     with pytest.raises(DomainError):
         law(SystemConfig(9, 4), EXP, np.array([0.1, bad, 2.0]))
+
+
+# --- one tail call per law ----------------------------------------------------
+
+XS = [0.5, 1.5, 2.5]
+
+# law -> a call on (cfg, model, window); the threshold laws take t = t2
+TAIL_LAWS = {
+    "order_stat_cdf": lambda cfg, m, w: order_stat_cdf(cfg, m, w.t2),
+    "window_prob": window_prob,
+    "window_slopes": window_slopes,
+    "joint_cdf_single": lambda cfg, m, w: joint_cdf_single(cfg, m, XS, w.t2),
+    "cond_cdf_given_leq": lambda cfg, m, w: cond_cdf_given_leq(cfg, m, XS, w.t2),
+    "cond_cdf_between": lambda cfg, m, w: cond_cdf_between(cfg, m, XS, w),
+    "joint_cdf_multi": lambda cfg, m, w: joint_cdf_multi(cfg, m, XS, w.t2),
+    **{f"pair_{event}": lambda cfg, m, w, event=event: pair_cond_joint_cdf(
+        cfg, m, 0.5, 1.5, w.t2, event) for event in ("max_leq", "min_leq", "min_gt")},
+    "mrl_summary": mrl_summary,
+    "cond_pdf_between": lambda cfg, m, w: cond_pdf_between(cfg, m, XS, w),
+}
+
+
+@pytest.mark.parametrize("law", list(TAIL_LAWS))
+def test_each_law_makes_one_tail_call(monkeypatch, law):
+    calls = []
+    tails = ordstat.joint._tails
+    monkeypatch.setattr(ordstat.joint, "_tails", lambda *args: calls.append(args) or tails(*args))
+    TAIL_LAWS[law](SystemConfig(9, 4), EXP, Window(1.0, 2.0))
+    assert len(calls) == 1
