@@ -16,6 +16,9 @@ module evaluates:
   at either end,
 * pairwise conditional joint CDFs of (X_1, X_2) given a sample extreme:
   the same formula at m = 2 and r = 1 or n, over its value at m = 0.
+  Given X_{1:n} > t, every lifetime lies in (t, inf), so that law is the
+  max_leq law (r = n) of the masses above t: F(x_i) - F(t), clipped at 0,
+  out of 1 - F(t).
 
 All closed forms are routed through upper binomial tails, which keeps a
 single code path valid for every 1 <= r <= n including r = 1 and r = n.
@@ -25,10 +28,8 @@ and F(t2), and hands those values to one of two private helpers, which take
 F values rather than times.  Each makes the one ``special._tails`` call of
 the law and returns its conditioning event's probability with it:
 ``_joint_prob`` takes m + 2 tails, the m + 1 of the joint law and last the
-event X_{r:n} <= t (or > t); ``_window`` takes six, the two of the window
-probability and the four of its slopes.  A survival function S = 1 - F
-computed on its own would be evaluated in the public laws alongside F and
-passed to the helpers in the same way.
+event X_{r:n} <= t; ``_window`` takes six, the two of the window
+probability and the four of its slopes.
 """
 
 from __future__ import annotations
@@ -106,8 +107,7 @@ class EvalGrid:
 
 def order_stat_cdf(cfg: SystemConfig, model: LifetimeModel, t) -> float:
     """P{X_{r:n} <= t}, the upper tail of Bin(n, F(t)) at r: the m = 0 case of _joint_prob."""
-    t = _time(t, "t")
-    return _joint_prob(cfg, [], model.cdf(t))[1]
+    return _joint_prob(cfg, [], model.cdf(_time(t, "t")))[1]
 
 
 def _window(cfg: SystemConfig, p1: float, p2: float):
@@ -147,17 +147,17 @@ def window_slopes(cfg: SystemConfig, model: LifetimeModel, window: Window):
     return _window_slopes(cfg, window, model.cdf(window.t1), model.cdf(window.t2))
 
 
-def _joint_prob(cfg: SystemConfig, fxs: Sequence, ft: float, above: bool = False):
+def _joint_prob(cfg: SystemConfig, fxs: Sequence, ft: float):
     """(joint, event) from fxs = [F(x_1), ..., F(x_m)] and ft = F(t).
 
     joint is P{X_i <= x_i for i <= m, X_{r:n} <= t} and event P{X_{r:n} <= t}.
     Element i fails by t with probability a_i = F(min(x_i, t)) and in (t, x_i]
     with b_i = (F(x_i) - F(t))+, so e_j, the coefficient of z^j in
     prod_i (b_i + a_i z), is the chance that j of them fail by t, and the law
-    is sum_j e_j P{Bin(n - m, F(t)) >= r - j}.  With ``above`` both take
-    X_{r:n} > t, from the lower tails P{Bin(n - m, F(t)) <= r - 1 - j} taken
-    in 1 - F(t).  Each F(x_i) may be an array.  The event is the last tail of
-    the same _tails call, the law's own m = 0 case.
+    is sum_j e_j P{Bin(n - m, F(t)) >= r - j}.  Each F(x_i) may be an array.
+    The event is the last tail of the same _tails call, the law's own m = 0
+    case.  The pair law given X_{1:n} > t is this law at r = n, with the
+    masses above t in place of F.
     """
     n, r, m = cfg.n, cfg.r, len(fxs)
     e = [1.0]
@@ -168,10 +168,7 @@ def _joint_prob(cfg: SystemConfig, fxs: Sequence, ft: float, above: bool = False
         # the first factor is [b, a] itself, with no products by 1.0 or 0.0
         e = [b, a] if len(e) == 1 else [
             e[0] * b, *[e[j] * b + e[j - 1] * a for j in range(1, len(e))], e[-1] * a]
-    # the lower tail at r - 1 - j in F is the upper one at n - m + 1 - r + j in 1 - F
-    ks, k, q = ((range(n - m + 1 - r, n + 2 - r), n + 1 - r, 1.0 - ft) if above
-                else (range(r, r - m - 1, -1), r, ft))
-    *tails, event = _tails([n - m] * (m + 1) + [n], [*ks, k], [q] * (m + 2))
+    *tails, event = _tails([n - m] * (m + 1) + [n], [*range(r, r - m - 1, -1), r], [ft] * (m + 2))
     total = e[0] * tails[0]
     for j in range(1, m + 1):
         total += e[j] * tails[j]
@@ -200,9 +197,9 @@ def cond_cdf_given_leq(cfg: SystemConfig, model: LifetimeModel, x, t):
     of an observation given that some observation is <= t.
     """
     # t, then x, then the event, which comes from the law's own tail call
-    ft = model.cdf(_time(t, "t"))
+    t = _time(t, "t")
     x = _times(x, "x")
-    joint, event = _joint_prob(cfg, [model.cdf(x)], ft)
+    joint, event = _joint_prob(cfg, [model.cdf(x)], model.cdf(t))
     _check_event(event, lambda: f"{{X_({cfg.r}:{cfg.n}) <= {t}}}")
     return _clip01(joint / event)
 
@@ -309,8 +306,9 @@ def joint_pdf_multi(cfg: SystemConfig, model: LifetimeModel, xs: Sequence, t) ->
     return math.exp(log_coef + log_powers) * model.pdf(t) * prod
 
 
-# conditioning -> (the sample extreme, whether the event is X > t)
-_PAIR_EVENTS = {"max_leq": ("max", False), "min_leq": ("min", False), "min_gt": ("min", True)}
+# conditioning -> its event on a sample extreme, formatted with n and t on failure
+_PAIR_EVENTS = {"max_leq": "{{X_({n}:{n}) <= {t}}}", "min_leq": "{{X_(1:{n}) <= {t}}}",
+                "min_gt": "{{X_(1:{n}) > {t}}}"}
 
 
 def pair_cond_joint_cdf(
@@ -320,20 +318,26 @@ def pair_cond_joint_cdf(
 
     conditioning selects the event: ``"max_leq"`` is X_{n:n} <= t,
     ``"min_leq"`` is X_{1:n} <= t and ``"min_gt"`` is X_{1:n} > t.  The law
-    is _joint_prob with two elements, r = n or r = 1, divided by the event
-    probability from the same call.  Given the maximum the pair is iid
-    with marginals F(min(x_i, t)) / F(t), and given X_{1:n} > t iid with
-    (F(x_i) - F(t))+ / (1 - F(t)); given X_{1:n} <= t it is dependent.
+    is _joint_prob with two elements, divided by the event probability from
+    the same call: at r = n for max_leq and r = 1 for min_leq.  X_{1:n} > t
+    says that every lifetime lies in (t, inf), so min_gt is the max_leq law
+    of the masses above t, (F(x_i) - F(t))+ out of 1 - F(t).  Given the
+    maximum the pair is iid with marginals F(min(x_i, t)) / F(t), and given
+    X_{1:n} > t iid with (F(x_i) - F(t))+ / (1 - F(t)); given X_{1:n} <= t
+    it is dependent.
     """
     if cfg.n < 2:
         raise DomainError("pair laws need a system of at least two components")
-    if conditioning not in _PAIR_EVENTS:
+    # a tuple, so that an unhashable argument fails the test, not the lookup
+    if conditioning not in ("max_leq", "min_leq", "min_gt"):
         raise DomainError(f"unknown conditioning {conditioning!r}; expected max_leq, min_leq or min_gt")
     x1, x2, t = _time(x1, "x1"), _time(x2, "x2"), _time(t, "t")
-    extreme, above = _PAIR_EVENTS[conditioning]
-    pair_cfg = SystemConfig(cfg.n, cfg.n if extreme == "max" else 1)
-    joint, event = _joint_prob(pair_cfg, [model.cdf(x1), model.cdf(x2)], model.cdf(t), above)
-    _check_event(event, lambda: f"{{X_({pair_cfg.r}:{cfg.n}) {'>' if above else '<='} {t}}}")
+    n, fxs, ft = cfg.n, [model.cdf(x1), model.cdf(x2)], model.cdf(t)
+    if conditioning == "min_gt":
+        # each rounded mass is at most the rounded 1 - F(t), so it is all "below t"
+        fxs, ft = [max(fx - ft, 0.0) for fx in fxs], 1.0 - ft
+    joint, event = _joint_prob(SystemConfig(n, 1 if conditioning == "min_leq" else n), fxs, ft)
+    _check_event(event, lambda: _PAIR_EVENTS[conditioning].format(n=n, t=t))
     return _clip01(joint / event)
 
 
@@ -361,7 +365,7 @@ def eval_grid(
     ``law`` is ``"joint"``, ``"given_leq"`` or ``"given_eq"``, which need ``t``
     and no window, or ``"between"``, which needs ``window`` and no ``t``.
     """
-    if law not in _GRID_LAWS:
+    if law not in LAWS:  # a tuple, so that an unhashable law fails the test
         raise DomainError(f"unknown law {law!r}; expected one of {LAWS}")
     between = law == "between"
     arg, extra = (window, t) if between else (t, window)

@@ -16,7 +16,11 @@ commands from the implementation that checked real arguments by hand, before
 ``errors._real`` and ``_reals``.  The digest of the exact inspection laws was
 recorded from the implementation that brought each pmf over the lcm of its
 denominators, once to check it and again for its mean, before the pmf kept
-integer weights.
+integer weights.  The digest of the threshold law and the three pair laws
+was recorded from the implementation in which ``_joint_prob`` took the
+event X_{1:n} > t from lower binomial tails in 1 - F(t), behind a mode of
+its own, before the pair law given the minimum became the law given the
+maximum of the masses above t.
 """
 
 import hashlib
@@ -220,6 +224,30 @@ def test_laws_are_pinned(model):
              pair_cond_joint_cdf(LAW_CFG, model, lo, hi, t, "min_leq"),
              pair_cond_joint_cdf(LAW_CFG, model, hi, top, t, "min_gt"))
     assert pairs == pins["pairs"]
+
+
+# the four pinned models and an empirical one; n = 2 puts the event given the
+# minimum at the full-tail convention, with n - 2 = 0 other components
+SWEEP_MODELS = [*LAW_PINS, Empirical([0.3, 0.7, 0.7, 1.1, 1.2, 1.6, 2.0, 2.6, 2.6, 3.1, 4.0, 5.5])]
+
+
+def test_threshold_and_pair_laws_are_pinned():
+    rng = np.random.default_rng(24)
+    laws = []
+    for model in SWEEP_MODELS:
+        for n in range(2, 61):
+            for q in (0.05, 0.3, 0.6, 0.9):
+                t = float(model.quantile(q))
+                below, above = t * rng.uniform(0.0, 1.0), t * rng.uniform(1.0, 3.0)
+                xs = [below, t, above, np.inf]
+                cfg = SystemConfig(n, int(rng.integers(1, n + 1)))
+                laws.append(cond_cdf_given_leq(cfg, model, np.array(xs), t).tolist())
+                laws.append(cond_cdf_given_leq(cfg, model, above, t))
+                for conditioning in ("max_leq", "min_leq", "min_gt"):
+                    for x1, x2 in ((below, above), (t, above), (above, above), (above, np.inf)):
+                        laws.append(pair_cond_joint_cdf(cfg, model, x1, x2, t, conditioning))
+    digest = hashlib.sha256(pickle.dumps(laws, protocol=4)).hexdigest()
+    assert (len(laws), digest[:16]) == (16520, "b3e94355cfd6a4ce")
 
 
 # every (n, r, k) with n < 60, then the largest system the benchmark reaches

@@ -193,6 +193,10 @@ def test_threshold_then_x_then_event_are_checked():
         cond_cdf_given_leq(cfg, Exponential(1.0), [-1.0], 0.0)
     with pytest.raises(NullConditioningError):
         cond_cdf_given_leq(cfg, Exponential(1.0), [1.0], 0.0)
+    # the event is named from the converted t, whatever type t came as
+    for t in (0, "0", np.float32(0)):
+        with pytest.raises(NullConditioningError, match=r"\{X_\(2:5\) <= 0\.0\}"):
+            cond_cdf_given_leq(cfg, Exponential(1.0), [1.0], t)
 
 
 def test_threshold_law_is_the_joint_law_over_the_event():
@@ -524,20 +528,22 @@ def test_pair_given_max_factorizes():
 
 
 def test_pair_given_min_exceeds_matches_truncated_product():
-    cfg = SystemConfig(5, 1)
     t = 0.8
-    assert pair_cond_joint_cdf(cfg, EXP, 0.5, 2.0, t, "min_gt") == 0.0
-    assert pair_cond_joint_cdf(cfg, EXP, 2.0, 0.5, t, "min_gt") == 0.0
-    ft = EXP.cdf(t)
-    for x1, x2 in [(1.0, 1.5), (2.5, 0.9)]:
-        expected = (
-            max(EXP.cdf(x1) - ft, 0.0) * max(EXP.cdf(x2) - ft, 0.0) / (1.0 - ft) ** 2
-            if x1 > t and x2 > t
-            else 0.0
-        )
-        assert pair_cond_joint_cdf(cfg, EXP, x1, x2, t, "min_gt") == pytest.approx(
-            expected, abs=1e-13
-        )
+    # n = 2 leaves no other component: the event's tails are at n - 2 = 0 trials
+    for n, model in [(5, EXP), (2, EXP), (2, Weibull(2.0, 1.0)), (7, Weibull(0.5, 2.0))]:
+        cfg = SystemConfig(n, 1)
+        assert pair_cond_joint_cdf(cfg, model, 0.5, 2.0, t, "min_gt") == 0.0
+        assert pair_cond_joint_cdf(cfg, model, 2.0, 0.5, t, "min_gt") == 0.0
+        ft = model.cdf(t)
+        for x1, x2 in [(1.0, 1.5), (2.5, 0.9), (t, 2.0), (math.inf, math.inf)]:
+            expected = (
+                max(model.cdf(x1) - ft, 0.0) * max(model.cdf(x2) - ft, 0.0) / (1.0 - ft) ** 2
+                if x1 > t and x2 > t
+                else 0.0
+            )
+            assert pair_cond_joint_cdf(cfg, model, x1, x2, t, "min_gt") == pytest.approx(
+                expected, abs=1e-13
+            )
 
 
 def pair_given_min_direct(model, n, x1, x2, t):
@@ -586,6 +592,8 @@ def test_pair_rejects_unknown_conditioning_and_small_systems():
         pair_cond_joint_cdf(SystemConfig(4, 2), EXP, 1.0, 1.0, 1.0, "median_leq")
     with pytest.raises(DomainError):
         pair_cond_joint_cdf(SystemConfig(1, 1), EXP, 1.0, 1.0, 1.0, "max_leq")
+    with pytest.raises(DomainError, match="unknown conditioning"):
+        pair_cond_joint_cdf(SystemConfig(4, 2), EXP, 1.0, 1.0, 1.0, ["max_leq"])  # unhashable
 
 
 def test_pair_null_events_raise():
@@ -644,6 +652,8 @@ def test_eval_grid_dispatch_and_validation():
         eval_grid(cfg, EXP, xs, "between")  # missing window
     with pytest.raises(DomainError):
         eval_grid(cfg, EXP, xs, "nonsense", t=1.0)
+    with pytest.raises(DomainError, match="unknown law"):
+        eval_grid(cfg, EXP, xs, ["joint"], t=1.0)  # unhashable
     with pytest.raises(DomainError, match="law 'joint' takes no window"):
         eval_grid(cfg, EXP, xs, "joint", t=1.0, window=window)
     with pytest.raises(DomainError, match="law 'between' takes no t"):
