@@ -199,6 +199,11 @@ def _cmd_mrl(args, cfg: SystemConfig) -> Report:
     return Report(["t1", "t2", "phi", "psi", "truncation_bound"], [record])
 
 
+def _estimate_cells(est) -> dict:
+    return {"estimate": _dec(est.estimate), "std_error": f"{est.std_error:.6e}",
+            "replications": est.replications}
+
+
 def _cmd_simulate(args, cfg: SystemConfig) -> Report:
     model = parse_model(args.model)
     if args.target == "inspections":
@@ -207,8 +212,7 @@ def _cmd_simulate(args, cfg: SystemConfig) -> Report:
         if any(v is not None for v in (args.x, args.t, args.t1, args.t2)):
             raise DomainError("simulate --target inspections takes no --x, --t, --t1 or --t2")
         estimates = mc_inspection_pmf(cfg, model, args.k, args.reps, args.seed)
-        records = [{"m": m, "estimate": _dec(e.estimate), "std_error": f"{e.std_error:.6e}",
-                    "replications": e.replications} for m, e in estimates.items()]
+        records = [{"m": m, **_estimate_cells(e)} for m, e in estimates.items()]
         return Report(["m", "estimate", "std_error", "replications"], records)
     if args.k is not None:
         raise DomainError("simulate --target event takes no --k")
@@ -223,14 +227,9 @@ def _cmd_simulate(args, cfg: SystemConfig) -> Report:
         stat_event = order_stat_leq(cfg, args.t)
         estimate = mc_event_prob(cfg, model, lambda s, o: event(s, o) & stat_event(s, o),
                                  args.reps, args.seed)
-    header = ["estimate", "std_error", "replications", "conditioned_fraction"]
-    record = {
-        "estimate": _dec(estimate.estimate),
-        "std_error": f"{estimate.std_error:.6e}",
-        "replications": estimate.replications,
-        "conditioned_fraction": _dec(estimate.conditioned_fraction),
-    }
-    return Report(header, [record])
+    record = {**_estimate_cells(estimate),
+              "conditioned_fraction": _dec(estimate.conditioned_fraction)}
+    return Report(list(record), [record])
 
 
 def _render(meta: dict, report: Report, kind: str) -> str:

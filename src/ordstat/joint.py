@@ -374,5 +374,5 @@ def eval_grid(
     if extra is not None:
         raise DomainError(f"law {law!r} takes no {'t' if between else 'window'}")
     # converted once here; the law checks the range
-    points = _floats(xs, "x must be nonnegative times")
+    points = _floats(xs, "x must be a nonnegative time")
     return EvalGrid(points, _GRID_LAWS[law](cfg, model, points, arg))

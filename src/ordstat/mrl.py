@@ -77,11 +77,14 @@ def cond_pdf_between(cfg: SystemConfig, model: LifetimeModel, x, window: Window)
     """Density of X_1 given t1 <= X_{r:n} <= t2, elementwise over an array x.
 
     The x-derivative of the corresponding conditional CDF: f(x) scaled by
-    the slope low, mid or high on x < t1, t1 <= x <= t2 and x > t2.
+    the slope low, mid or high on x < t1, t1 <= x <= t2 and x > t2.  The
+    density is 0 where the slope is 0, also where f(x) is infinite.
     """
     x = _times(x, "x")
     low, mid, high = window_slopes(cfg, model, window)
-    return _finish(np.select([x < window.t1, x <= window.t2], [low, mid], high) * model.pdf(x))
+    slope = np.select([x < window.t1, x <= window.t2], [low, mid], high)
+    # multiplied only where the slope is nonzero, so no 0 * inf makes a NaN
+    return _finish(np.multiply(slope, model.pdf(x), out=np.zeros_like(slope), where=slope != 0.0))
 
 
 def mean_residual(cfg: SystemConfig, model: LifetimeModel, window: Window) -> float:

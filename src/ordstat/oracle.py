@@ -10,15 +10,17 @@ work: at most ``_BLOCK_ELEMENTS`` = 2**15 lifetimes, that is 2**15 // n
 replications (at least one), so each (block, n) float64 array takes at
 most 256 KiB and stays in cache whatever n and the replication count.
 Batches of at most ``_BATCH_ELEMENTS`` = 2**21 lifetimes are only the
-summation unit of ``mc_event_mean``: a block never straddles the end of a
-batch, and the kept values of a batch are summed in one reduction, since a
-float sum's rounding depends on how its terms are split.  Neither the block
-size nor the batch size changes any bit of an estimate: the stream, the
-row-wise sort and the per-row events do not see the blocks, counts are
-integers, and the sums see whole batches.  Conditional quantities use
-rejection sampling and report the fraction of raw replications that
-satisfied the conditioning event; standard errors are computed from the
-accepted count.
+summation unit of the sums ``mc_event_prob`` and ``mc_event_mean`` share
+(``_sums``, one loop for both): a block never straddles the end of a batch,
+and the kept values of a batch are summed in one reduction, since a float
+sum's rounding depends on how its terms are split.  The block size changes
+no bit of an estimate: the stream, the row-wise sort and the per-row events
+do not see the blocks, counts are integers, and the sums see whole batches.
+A probability is the mean of its event's indicator, whose batch sums of 0s
+and 1s are exact integers, so only the bits of ``mc_event_mean`` depend on
+the batch size.  Conditional quantities use rejection sampling and report
+the fraction of raw replications that satisfied the conditioning event;
+standard errors are computed from the accepted count.
 
 A call allocates its two block arrays once, ``draws`` and ``ordered``.
 Every block is drawn into the first (``model.sample(..., out=)``), copied
@@ -73,7 +75,7 @@ __all__ = [
 
 # lifetimes per block, the unit of work: a (block, n) float64 array takes 256 KiB
 _BLOCK_ELEMENTS = 1 << 15
-# lifetimes per batch, the summation unit of mc_event_mean
+# lifetimes per batch, the summation unit of _sums
 _BATCH_ELEMENTS = 1 << 21
 
 # numpy imports its submodule random only when numpy.random is first read, so
@@ -170,6 +172,32 @@ def _proportion(hits: int, kept: int, m_reps: int) -> McEstimate:
     return McEstimate(p_hat, m_reps, sqrt(p_hat * (1.0 - p_hat) / kept), kept / m_reps)
 
 
+def _sums(n: int, model: LifetimeModel, statistic: EventFn, m_reps: int, seed: int, given):
+    """Sum and sum of squares of ``statistic`` over the replications ``given``
+    keeps (all without it), and their count; NullConditioningError if none."""
+    batch = _rows(_BATCH_ELEMENTS, n)
+    # the kept values of the current batch, summed when its last block is in
+    values = np.empty(min(batch, m_reps))
+    total = total_sq = 0.0
+    kept = filled = rows = 0
+    for samples, ordered in _iter_batches(model, n, m_reps, seed):
+        block = np.asarray(statistic(samples, ordered), dtype=float)
+        if given is not None:
+            block = block[np.asarray(given(samples, ordered), dtype=bool)]
+        values[filled:filled + block.size] = block
+        filled += block.size
+        rows += samples.shape[0]
+        if rows % batch == 0 or rows == m_reps:
+            head = values[:filled]
+            total += float(head.sum())
+            total_sq += float(np.square(head, out=head).sum())
+            kept += filled
+            filled = 0
+    if kept == 0:
+        raise NullConditioningError("no replication satisfied the conditioning event")
+    return total, total_sq, kept
+
+
 def mc_event_prob(
     cfg: SystemConfig,
     model: LifetimeModel,
@@ -181,26 +209,18 @@ def mc_event_prob(
 ) -> McEstimate:
     """Relative frequency of ``event`` over ``m_reps`` seeded replications.
 
-    ``event`` and ``given`` receive a (block, n) matrix of lifetimes and
-    the row-wise order statistics and must return boolean vectors.  With
-    ``given`` the estimate is conditional (rejection sampling), and the
-    standard error reflects the accepted count only.
+    The mean of the event's indicator over the replications ``given`` keeps,
+    with the binomial standard error sqrt(p (1 - p) / kept).  ``event`` and
+    ``given`` receive a (block, n) matrix of lifetimes and the row-wise
+    order statistics and must return boolean vectors.  With ``given`` the
+    estimate is conditional (rejection sampling), and the standard error
+    reflects the accepted count only.
     """
     m_reps, seed = _check_run(m_reps, seed)
-    hits = 0
-    kept = 0
-    for samples, ordered in _iter_batches(model, cfg.n, m_reps, seed):
-        ok = np.asarray(event(samples, ordered), dtype=bool)
-        if given is None:
-            hits += int(np.count_nonzero(ok))
-            kept += samples.shape[0]
-        else:
-            keep = np.asarray(given(samples, ordered), dtype=bool)
-            hits += int(np.count_nonzero(ok & keep))
-            kept += int(np.count_nonzero(keep))
-    if kept == 0:
-        raise NullConditioningError("no replication satisfied the conditioning event")
-    return _proportion(hits, kept, m_reps)
+    hits, _, kept = _sums(cfg.n, model, lambda s, o: np.asarray(event(s, o), dtype=bool),
+                          m_reps, seed, given)
+    # each batch's sum of 0s and 1s is an exact integer in float64
+    return _proportion(int(hits), kept, m_reps)
 
 
 def mc_event_mean(
@@ -218,27 +238,7 @@ def mc_event_mean(
     error is the sample standard deviation over sqrt(accepted count).
     """
     m_reps, seed = _check_run(m_reps, seed)
-    batch = _rows(_BATCH_ELEMENTS, cfg.n)
-    # the kept values of the current batch, summed when its last block is in
-    values = np.empty(min(batch, m_reps))
-    total = 0.0
-    total_sq = 0.0
-    kept = filled = rows = 0
-    for samples, ordered in _iter_batches(model, cfg.n, m_reps, seed):
-        block = np.asarray(statistic(samples, ordered), dtype=float)
-        if given is not None:
-            block = block[np.asarray(given(samples, ordered), dtype=bool)]
-        values[filled:filled + block.size] = block
-        filled += block.size
-        rows += samples.shape[0]
-        if rows % batch == 0 or rows == m_reps:
-            head = values[:filled]
-            total += float(head.sum())
-            total_sq += float(np.square(head, out=head).sum())
-            kept += filled
-            filled = 0
-    if kept == 0:
-        raise NullConditioningError("no replication satisfied the conditioning event")
+    total, total_sq, kept = _sums(cfg.n, model, statistic, m_reps, seed, given)
     mean = total / kept
     var = max(0.0, (total_sq - kept * mean * mean) / max(kept - 1, 1))
     return McEstimate(mean, m_reps, sqrt(var / kept), kept / m_reps)

@@ -20,7 +20,10 @@ integer weights.  The digest of the threshold law and the three pair laws
 was recorded from the implementation in which ``_joint_prob`` took the
 event X_{1:n} > t from lower binomial tails in 1 - F(t), behind a mode of
 its own, before the pair law given the minimum became the law given the
-maximum of the masses above t.
+maximum of the masses above t.  The digest of ``mc_event_prob`` and
+``mc_event_mean`` was recorded from the implementation in which each ran
+its own loop over the blocks, before the probability became the mean of
+its event's indicator.
 """
 
 import hashlib
@@ -34,6 +37,7 @@ from ordstat import (
     Empirical,
     Exponential,
     McEstimate,
+    OrdstatError,
     SystemConfig,
     Uniform,
     Weibull,
@@ -49,6 +53,7 @@ from ordstat import (
     mc_event_prob,
     mc_inspection_pmf,
     mrl_summary,
+    oracle,
     order_stat_cdf,
     pair_cond_joint_cdf,
     window_prob,
@@ -131,6 +136,42 @@ def test_tied_lifetimes_leave_every_row_off_the_support():
     estimates = mc_inspection_pmf(cfg, Empirical([1.0]), 2, 1000, seed=1)
     assert list(estimates) == list(cfg.detection_support(2))
     assert all(est.estimate == 0.0 for est in estimates.values())
+
+
+# a light-tailed, a heavy-tailed and a bounded model, and one with tied values
+MC_MODELS = [Exponential(1.0), Weibull(0.5, 2.0), Uniform(0.5, 3.0), Empirical(EMPIRICAL_VALUES)]
+
+
+def _estimate_or_error(call):
+    try:
+        est = call()
+    except OrdstatError as exc:
+        return type(exc).__name__, str(exc)
+    return est.estimate, est.replications, est.std_error, est.conditioned_fraction
+
+
+def test_event_estimators_are_pinned(monkeypatch):
+    # with batches of 600 lifetimes, 3,000 replications span 5 batches at
+    # n = 1 and 1,000 at n = 200; a window of one replication may keep none
+    estimates = []
+    for batch, reps in ((None, 1), (None, 2048), (600, 3000)):
+        if batch is not None:
+            monkeypatch.setattr(oracle, "_BATCH_ELEMENTS", batch)
+        for n in (1, 2, 12, 200):
+            cfg = SystemConfig(n, (n + 2) // 3)
+            q = cfg.r / (n + 1)
+            for model in MC_MODELS:
+                lo, hi = (float(model.quantile(min(max(q + d, 0.0), 1.0))) for d in (-0.05, 0.05))
+                window = Window(lo, max(hi, lo + 0.5))  # tied quantiles may coincide
+                event = first_observation_leq(float(model.quantile(0.5)))
+                for given in (None, order_stat_in_window(cfg, window)):
+                    seed = len(estimates)
+                    estimates.append(_estimate_or_error(
+                        lambda: mc_event_prob(cfg, model, event, reps, seed, given=given)))
+                    estimates.append(_estimate_or_error(lambda: mc_event_mean(
+                        cfg, model, lambda s, o: s[:, 0], reps, seed, given=given)))
+    digest = hashlib.sha256(pickle.dumps(estimates, protocol=4)).hexdigest()
+    assert (len(estimates), digest[:16]) == (192, "ecc508a9f45120ce")
 
 
 LAW_CFG = SystemConfig(12, 5)

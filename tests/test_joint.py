@@ -656,6 +656,9 @@ def test_eval_grid_dispatch_and_validation():
         eval_grid(cfg, EXP, xs, ["joint"], t=1.0)  # unhashable
     with pytest.raises(DomainError, match="law 'joint' takes no window"):
         eval_grid(cfg, EXP, xs, "joint", t=1.0, window=window)
+    # the rule of every law's x, as in joint_cdf_single(cfg, EXP, "a", 1.0)
+    with pytest.raises(DomainError, match=r"^x must be a nonnegative time, got \['a'\]$"):
+        eval_grid(cfg, EXP, ["a"], "joint", t=1.0)
     with pytest.raises(DomainError, match="law 'between' takes no t"):
         eval_grid(cfg, EXP, xs, "between", t=1.0, window=window)
     with pytest.raises(DomainError):

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from ordstat import (
     mean_residual,
     mrl_summary,
 )
+from ordstat.joint import window_slopes
 
 EXP = Exponential(1.0)
 CFG = SystemConfig(10, 4)
@@ -75,6 +78,20 @@ def test_density_matches_cdf_slope():
 def test_density_nonnegative_everywhere():
     for x in [0.0, 0.7, 1.0, 1.4, 2.0, 2.8, 6.0]:
         assert cond_pdf_between(CFG, EXP, x, WINDOW) >= 0.0
+
+
+def test_density_is_zero_where_the_slope_is_zero_even_where_f_is_infinite():
+    # at r = 1 the low slope is exactly 0, while a Weibull shape below 1 has
+    # f(0) = inf; at r = 2 the low slope is positive and the density inf
+    model, window = Weibull(0.5, 1.0), Window(0.2, 0.6)
+    xs = [0.0, 5e-324, 0.1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "invalid value encountered in multiply"
+        assert window_slopes(SystemConfig(5, 1), model, window)[0] == 0.0
+        assert [cond_pdf_between(SystemConfig(5, 1), model, x, window) for x in xs] == [0.0] * 3
+        got = cond_pdf_between(SystemConfig(5, 1), model, np.array(xs), window)
+        assert got.tolist() == [0.0] * 3
+        assert cond_pdf_between(SystemConfig(5, 2), model, 0.0, window) == math.inf
 
 
 @pytest.mark.parametrize(

@@ -85,6 +85,23 @@ def test_estimates_do_not_depend_on_batching(monkeypatch):
     assert means() == whole
 
 
+@pytest.mark.parametrize("batch", [None, 1000], ids=["one-batch", "362-batches"])
+def test_event_prob_is_the_mean_of_its_indicator(monkeypatch, batch):
+    if batch is not None:
+        monkeypatch.setattr(oracle, "_BATCH_ELEMENTS", batch)  # 83 rows at n = 12
+    cfg, reps = SystemConfig(12, 5), 30_000
+    event = first_observation_leq(1.0)
+    for given in (None, order_stat_in_window(cfg, Window(0.3, 0.8))):
+        prob = mc_event_prob(cfg, EXP, event, reps, seed=8, given=given)
+        mean = mc_event_mean(cfg, EXP, lambda s, o: event(s, o).astype(float), reps, seed=8,
+                             given=given)
+        assert (prob.estimate, prob.conditioned_fraction) == (
+            mean.estimate, mean.conditioned_fraction)
+        # the binomial error divides by the kept count, the sample one by one less
+        kept = round(prob.conditioned_fraction * reps)
+        assert prob.std_error == pytest.approx(mean.std_error * math.sqrt((kept - 1) / kept))
+
+
 @pytest.mark.parametrize("model", [EXP, Empirical([1.0, 2.0, 3.0, 5.0, 8.0])], ids=repr)
 def test_blocks_reuse_two_buffers_and_keep_the_stream(monkeypatch, model):
     # blocks of 83 rows, the last one shorter
