@@ -202,14 +202,17 @@ class Weibull(LifetimeModel):
 
     def _cdf(self, x):
         z = _clip_time(x, self._x_max) / self.scale
-        return -np.expm1(-(z**self.shape))
+        # np.power, not **, here and in _pdf: on a 0-d array ** takes numpy's
+        # scalar pow, whose last bit may differ from the array loop's
+        return -np.expm1(-np.power(z, self.shape))
 
     def _pdf(self, x):
         z = _clip_time(x, self._x_max) / self.scale
         # for shape < 1, z**(shape-1) is legitimately +inf at 0 and may
         # overflow to +inf just above it, where the density exceeds every float
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            body = (self.shape / self.scale) * z ** (self.shape - 1.0) * np.exp(-(z**self.shape))
+            body = (self.shape / self.scale) * np.power(z, self.shape - 1.0) * np.exp(
+                -np.power(z, self.shape))
         return np.where(x < 0.0, 0.0, body)
 
     def _from_uniform(self, u):

@@ -5,22 +5,14 @@ The Monte-Carlo engine draws lifetimes by inverse-CDF sampling of uniforms
 from numpy's PCG64 generator (``numpy.random.default_rng``).  The generator
 family is part of the reproducibility contract: identical seeds give
 identical estimates, bit for bit, on a given platform.  Replications are
-drawn as one sequential stream and processed in row blocks, the unit of
-work: at most ``_BLOCK_ELEMENTS`` = 2**15 lifetimes, that is 2**15 // n
-replications (at least one), so each (block, n) float64 array takes at
-most 256 KiB and stays in cache whatever n and the replication count.
-Batches of at most ``_BATCH_ELEMENTS`` = 2**21 lifetimes are only the
-summation unit of the sums ``mc_event_prob`` and ``mc_event_mean`` share
-(``_sums``, one loop for both): a block never straddles the end of a batch,
-and the kept values of a batch are summed in one reduction, since a float
-sum's rounding depends on how its terms are split.  The block size changes
-no bit of an estimate: the stream, the row-wise sort and the per-row events
-do not see the blocks, counts are integers, and the sums see whole batches.
-A probability is the mean of its event's indicator, whose batch sums of 0s
-and 1s are exact integers, so only the bits of ``mc_event_mean`` depend on
-the batch size.  Conditional quantities use rejection sampling and report
-the fraction of raw replications that satisfied the conditioning event;
-standard errors are computed from the accepted count.
+drawn as one sequential stream in row blocks, the only unit of work: at
+most ``_BLOCK_ELEMENTS`` = 2**15 lifetimes, that is 2**15 // n replications
+(at least one), so each (block, n) float64 array takes at most 256 KiB and
+stays in cache whatever n and the replication count.  A block is drawn,
+sorted and summed once, and its partial sums are added in stream order.
+Conditional quantities use rejection sampling and report the fraction of
+raw replications that satisfied the conditioning event; standard errors are
+computed from the accepted count.
 
 A call allocates its two block arrays once, ``draws`` and ``ordered``.
 Every block is drawn into the first (``model.sample(..., out=)``), copied
@@ -75,8 +67,6 @@ __all__ = [
 
 # lifetimes per block, the unit of work: a (block, n) float64 array takes 256 KiB
 _BLOCK_ELEMENTS = 1 << 15
-# lifetimes per batch, the summation unit of _sums
-_BATCH_ELEMENTS = 1 << 21
 
 # numpy imports its submodule random only when numpy.random is first read, so
 # ``np`` holds no copy of it
@@ -133,31 +123,23 @@ def order_stat_in_window(cfg: SystemConfig, window: Window) -> EventFn:
     )
 
 
-def _rows(elements: int, n: int) -> int:
-    """Replications in ``elements`` lifetimes, at least one."""
-    return max(1, elements // n)
-
-
-def _iter_batches(model: LifetimeModel, n: int, m_reps: int, seed: int):
+def _iter_blocks(model: LifetimeModel, n: int, m_reps: int, seed: int):
     """(samples, ordered) row blocks of ``m_reps`` seeded replications.
 
     Each block holds at most ``_BLOCK_ELEMENTS`` lifetimes, or one row, and
-    ends at or before the end of its batch of ``_BATCH_ELEMENTS``.  Every
-    block is a view of the same two buffers, overwritten by the next one.
+    is a view of the same two buffers, overwritten by the next one.
     """
     rng = _random.default_rng(seed)
-    batch, block = _rows(_BATCH_ELEMENTS, n), _rows(_BLOCK_ELEMENTS, n)
+    block = max(1, _BLOCK_ELEMENTS // n)
     draws, ordered = np.empty((2, min(block, m_reps), n))
-    for first in range(0, m_reps, batch):
-        end = min(first + batch, m_reps)
-        for start in range(first, end, block):
-            rows = min(block, end - start)
-            samples = model.sample(rng, (rows, n), out=draws[:rows])
-            # np.sort(samples, axis=1) without its fresh copy
-            sorted_rows = ordered[:rows]
-            sorted_rows[...] = samples
-            sorted_rows.sort(axis=1)
-            yield samples, sorted_rows
+    for start in range(0, m_reps, block):
+        rows = min(block, m_reps - start)
+        samples = model.sample(rng, (rows, n), out=draws[:rows])
+        # np.sort(samples, axis=1) without its fresh copy
+        sorted_rows = ordered[:rows]
+        sorted_rows[...] = samples
+        sorted_rows.sort(axis=1)
+        yield samples, sorted_rows
 
 
 def _check_run(m_reps: int, seed: int) -> tuple[int, int]:
@@ -174,25 +156,22 @@ def _proportion(hits: int, kept: int, m_reps: int) -> McEstimate:
 
 def _sums(n: int, model: LifetimeModel, statistic: EventFn, m_reps: int, seed: int, given):
     """Sum and sum of squares of ``statistic`` over the replications ``given``
-    keeps (all without it), and their count; NullConditioningError if none."""
-    batch = _rows(_BATCH_ELEMENTS, n)
-    # the kept values of the current batch, summed when its last block is in
-    values = np.empty(min(batch, m_reps))
+    keeps (all without it), and their count; NullConditioningError if none,
+    DomainError unless both return one value per row."""
     total = total_sq = 0.0
-    kept = filled = rows = 0
-    for samples, ordered in _iter_batches(model, n, m_reps, seed):
-        block = np.asarray(statistic(samples, ordered), dtype=float)
+    kept = 0
+    for samples, ordered in _iter_blocks(model, n, m_reps, seed):
+        shape = samples.shape[:1]
+        values = np.asarray(statistic(samples, ordered), dtype=float)
+        keep = values if given is None else np.asarray(given(samples, ordered), dtype=bool)
+        if values.shape != shape or keep.shape != shape:
+            raise DomainError(f"an event, statistic or given must return one value per row, shape "
+                              f"{shape}, got {values.shape if values.shape != shape else keep.shape}")
         if given is not None:
-            block = block[np.asarray(given(samples, ordered), dtype=bool)]
-        values[filled:filled + block.size] = block
-        filled += block.size
-        rows += samples.shape[0]
-        if rows % batch == 0 or rows == m_reps:
-            head = values[:filled]
-            total += float(head.sum())
-            total_sq += float(np.square(head, out=head).sum())
-            kept += filled
-            filled = 0
+            values = values[keep]
+        total += float(values.sum())
+        total_sq += float(np.square(values).sum())
+        kept += values.size
     if kept == 0:
         raise NullConditioningError("no replication satisfied the conditioning event")
     return total, total_sq, kept
@@ -219,7 +198,7 @@ def mc_event_prob(
     m_reps, seed = _check_run(m_reps, seed)
     hits, _, kept = _sums(cfg.n, model, lambda s, o: np.asarray(event(s, o), dtype=bool),
                           m_reps, seed, given)
-    # each batch's sum of 0s and 1s is an exact integer in float64
+    # each block's sum of 0s and 1s is an exact integer in float64
     return _proportion(int(hits), kept, m_reps)
 
 
@@ -240,8 +219,9 @@ def mc_event_mean(
     m_reps, seed = _check_run(m_reps, seed)
     total, total_sq, kept = _sums(cfg.n, model, statistic, m_reps, seed, given)
     mean = total / kept
-    var = max(0.0, (total_sq - kept * mean * mean) / max(kept - 1, 1))
-    return McEstimate(mean, m_reps, sqrt(var / kept), kept / m_reps)
+    var = (total_sq - kept * mean * mean) / max(kept - 1, 1)
+    # only rounding below zero is clamped: a NaN variance stays NaN
+    return McEstimate(mean, m_reps, sqrt((0.0 if var < 0.0 else var) / kept), kept / m_reps)
 
 
 def mc_inspection_pmf(
@@ -269,7 +249,7 @@ def mc_inspection_pmf(
     m_reps, seed = _check_run(m_reps, seed)
     n = cfg.n
     counts = np.zeros(n + 1, dtype=np.int64)
-    for samples, ordered in _iter_batches(model, n, m_reps, seed):
+    for samples, ordered in _iter_blocks(model, n, m_reps, seed):
         failed = samples < ordered[:, cfg.r - 1, None]
         # flat positions of the failures in row-major order; row i's start at
         # its offset edges[i], the first at or after position i * n

@@ -171,6 +171,16 @@ def test_scalar_quantile_is_the_array_quantile(model):
     assert [model.quantile(u) for u in us.tolist()] == model.quantile(us).tolist()
 
 
+@pytest.mark.parametrize("shape", [0.5, 1.5, 3.7])
+def test_scalar_weibull_cdf_and_pdf_are_the_array_values(shape):
+    # ** on a scalar time took numpy's scalar pow, which differed from the
+    # array loop in the last bit at up to 175 of these 2,000 times
+    model = Weibull(shape, 2.0)
+    ts = np.random.default_rng(0).uniform(0.0, 8.0, 2000)
+    for law in (model.cdf, model.pdf):
+        assert [float(law(t)) for t in ts.tolist()] == law(ts).tolist()
+
+
 @pytest.mark.parametrize("model", [Weibull(0.02, 1e300), Exponential(1e-308)], ids=repr)
 def test_quantile_beyond_the_largest_float_is_inf(model):
     # warnings are errors here

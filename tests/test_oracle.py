@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -44,21 +43,19 @@ def test_estimates_are_deterministic_given_seed():
 @pytest.mark.parametrize(
     "budget,n", [(None, 3000), (None, 200), (1000, 1), (1000, 12), (1000, 3000)]
 )
-def test_batches_hold_at_most_the_element_budget(monkeypatch, budget, n):
+def test_blocks_hold_at_most_the_element_budget(monkeypatch, budget, n):
     if budget is not None:
-        monkeypatch.setattr(oracle, "_BATCH_ELEMENTS", budget)
-    budget = oracle._BATCH_ELEMENTS
-    rows = [samples.shape[0] for samples, _ in oracle._iter_batches(EXP, n, 2500, seed=1)]
+        monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", budget)
+    budget = oracle._BLOCK_ELEMENTS
+    rows = [samples.shape[0] for samples, _ in oracle._iter_blocks(EXP, n, 2500, seed=1)]
     assert sum(rows) == 2500
-    # a batch, and a block, is one replication when n alone passes its budget
+    # a block is one replication when n alone passes its budget
     assert all(count * n <= budget or count == 1 for count in rows)
-    assert all(count * n <= max(n, oracle._BLOCK_ELEMENTS) for count in rows)
-    # no block straddles the end of a batch
-    batch = max(1, budget // n)
-    assert set(range(batch, 2500, batch)) <= set(itertools.accumulate(rows))
+    # every block but the last is full
+    assert set(rows[:-1]) <= {max(1, budget // n)}
 
 
-def test_estimates_do_not_depend_on_batching(monkeypatch):
+def test_estimates_do_not_depend_on_blocks(monkeypatch):
     cfg = SystemConfig(12, 5)
     event, given = first_observation_leq(1.0), order_stat_in_window(cfg, Window(0.3, 0.8))
 
@@ -66,29 +63,37 @@ def test_estimates_do_not_depend_on_batching(monkeypatch):
         return (mc_inspection_pmf(cfg, EXP, 3, 30_000, seed=8),
                 mc_event_prob(cfg, EXP, event, 30_000, seed=8, given=given))
 
-    def means():
-        return (mc_event_mean(cfg, EXP, lambda s, o: s[:, 0], 30_000, seed=8),
-                mc_event_mean(cfg, EXP, lambda s, o: s[:, 0], 30_000, seed=8, given=given))
-
-    one_batch = estimates()
-    # blocks of 83 rows, since 12 does not divide 1000 lifetimes
-    monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 1000)
-    assert estimates() == one_batch
-    monkeypatch.setattr(oracle, "_BATCH_ELEMENTS", 1000)
-    assert estimates() == one_batch
-    # two batches of 20,000 and 10,000 rows, each one block, then cut into
-    # blocks of 83 rows, the last of each batch shorter
-    monkeypatch.setattr(oracle, "_BATCH_ELEMENTS", 12 * 20_000)
-    monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 12 * 20_000)
-    whole = means()
-    monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 1000)
-    assert means() == whole
+    default = estimates()
+    # blocks of 83 rows, since 12 does not divide 1000 lifetimes, then one block
+    for block in (1000, 12 * 30_000):
+        monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", block)
+        assert estimates() == default
 
 
-@pytest.mark.parametrize("batch", [None, 1000], ids=["one-batch", "362-batches"])
-def test_event_prob_is_the_mean_of_its_indicator(monkeypatch, batch):
-    if batch is not None:
-        monkeypatch.setattr(oracle, "_BATCH_ELEMENTS", batch)  # 83 rows at n = 12
+# adding the block sums in stream order costs up to one rounding per block:
+# the 362 blocks of 83 rows put the conditional mean 8 ulps from the exact one
+@pytest.mark.parametrize(
+    "block,ulps", [(None, 4), (12 * 7500, 4), (12 * 30_000, 4), (1000, 362)],
+    ids=["11-blocks", "4-blocks", "one-block", "362-blocks"],
+)
+def test_event_mean_is_within_a_few_ulps_of_the_exact_mean(monkeypatch, block, ulps):
+    if block is not None:
+        monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", block)
+    cfg, reps = SystemConfig(12, 5), 30_000
+    samples = EXP.sample(np.random.default_rng(8), (reps, cfg.n))
+    ordered = np.sort(samples, axis=1)
+    for given in (None, order_stat_in_window(cfg, Window(0.3, 0.8))):
+        kept = samples[:, 0] if given is None else samples[given(samples, ordered), 0]
+        exact = math.fsum(kept) / kept.size
+        est = mc_event_mean(cfg, EXP, lambda s, o: s[:, 0], reps, seed=8, given=given)
+        assert abs(est.estimate - exact) <= ulps * math.ulp(exact)
+        assert est.conditioned_fraction == kept.size / reps
+
+
+@pytest.mark.parametrize("block", [None, 1000], ids=["11-blocks", "362-blocks"])
+def test_event_prob_is_the_mean_of_its_indicator(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", block)  # 83 rows at n = 12
     cfg, reps = SystemConfig(12, 5), 30_000
     event = first_observation_leq(1.0)
     for given in (None, order_stat_in_window(cfg, Window(0.3, 0.8))):
@@ -102,6 +107,38 @@ def test_event_prob_is_the_mean_of_its_indicator(monkeypatch, batch):
         assert prob.std_error == pytest.approx(mean.std_error * math.sqrt((kept - 1) / kept))
 
 
+@pytest.mark.parametrize(
+    "statistic,given",
+    [
+        (lambda s, o: True, None),
+        (lambda s, o: s[:5, 0] < 1.0, None),
+        (lambda s, o: s[:, :2] < 1.0, None),
+        (lambda s, o: s[:, 0] < 1.0, lambda s, o: True),
+    ],
+    ids=["scalar", "short", "two-dimensional", "scalar-given"],
+)
+@pytest.mark.parametrize("estimator", [mc_event_prob, mc_event_mean], ids=lambda f: f.__name__)
+def test_events_must_return_one_value_per_row(estimator, statistic, given):
+    with pytest.raises(DomainError, match=r"must return one value per row, shape \(2730,\), got"):
+        estimator(SystemConfig(12, 5), EXP, statistic, 10_000, 1, given=given)
+
+
+def test_non_finite_mean_has_no_zero_error():
+    cfg = SystemConfig(5, 2)
+
+    def first_row(value):
+        return lambda s, o: np.where(np.arange(s.shape[0]) == 0, value, s[:, 0])
+
+    est = mc_event_mean(cfg, EXP, first_row(math.inf), 1000, seed=1)
+    assert est.estimate == math.inf and math.isnan(est.std_error)
+    est = mc_event_mean(cfg, EXP, first_row(math.nan), 1000, seed=1)
+    assert math.isnan(est.estimate) and math.isnan(est.std_error)
+    # the mean is finite, but its sum of squares overflows
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        est = mc_event_mean(cfg, EXP, lambda s, o: 1e200 * s[:, 0], 1000, seed=1)
+    assert math.isfinite(est.estimate) and math.isnan(est.std_error)
+
+
 @pytest.mark.parametrize("model", [EXP, Empirical([1.0, 2.0, 3.0, 5.0, 8.0])], ids=repr)
 def test_blocks_reuse_two_buffers_and_keep_the_stream(monkeypatch, model):
     # blocks of 83 rows, the last one shorter
@@ -110,7 +147,7 @@ def test_blocks_reuse_two_buffers_and_keep_the_stream(monkeypatch, model):
     reference = model.sample(np.random.default_rng(5), (reps, n))
     first = None
     start = 0
-    for samples, ordered in oracle._iter_batches(model, n, reps, seed=5):
+    for samples, ordered in oracle._iter_blocks(model, n, reps, seed=5):
         rows = samples.shape[0]
         assert np.array_equal(samples, reference[start:start + rows])
         assert np.array_equal(ordered, np.sort(reference[start:start + rows], axis=1))
@@ -123,8 +160,9 @@ def test_blocks_reuse_two_buffers_and_keep_the_stream(monkeypatch, model):
     assert start == reps
 
 
-@pytest.mark.parametrize("n,reps", [(200, 2048), (12, 200_000)])
-def test_each_simulation_works_in_a_few_mebibytes(n, reps):
+@pytest.mark.parametrize("n,reps,limit", [(200, 2048, 4 << 20), (12, 200_000, 4 << 20),
+                                          (12, 1_000_000, 1 << 20)])
+def test_each_simulation_works_in_a_few_mebibytes(n, reps, limit):
     cfg = SystemConfig(n, n // 2)
     event, given = first_observation_leq(1.0), order_stat_in_window(cfg, Window(0.3, 1.2))
     calls = {
@@ -141,7 +179,7 @@ def test_each_simulation_works_in_a_few_mebibytes(n, reps):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 << 20, (name, peak)
+        assert peak < limit, (name, peak)
 
 
 def test_sure_event_has_zero_error():
@@ -351,7 +389,7 @@ def test_tied_lifetimes_give_the_recorded_estimates(k):
 def test_tied_estimates_sum_to_the_share_detected_within_the_support(k):
     n, r = TIED_CFG.n, TIED_CFG.r
     reached = within = 0
-    for samples, ordered in oracle._iter_batches(TIED, n, 1000, seed=1):
+    for samples, ordered in oracle._iter_blocks(TIED, n, 1000, seed=1):
         found = np.cumsum(samples < ordered[:, [r - 1]], axis=1)
         reached += int(np.count_nonzero(found[:, -1] >= k))
         # the k-th detection by inspection n - r + k + 1, the last support point
@@ -370,10 +408,10 @@ def test_rows_without_failures_give_zero_estimates():
     assert all(est.estimate == 0.0 and est.std_error == 0.0 for est in estimates.values())
 
 
-def test_tied_estimates_do_not_depend_on_batching(monkeypatch):
-    one_batch = mc_inspection_pmf(TIED_CFG, TIED, 2, 1000, seed=1)
-    monkeypatch.setattr(oracle, "_BATCH_ELEMENTS", 60)  # 100 batches of 10 rows
-    assert mc_inspection_pmf(TIED_CFG, TIED, 2, 1000, seed=1) == one_batch
+def test_tied_estimates_do_not_depend_on_blocks(monkeypatch):
+    one_block = mc_inspection_pmf(TIED_CFG, TIED, 2, 1000, seed=1)
+    monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 60)  # 100 blocks of 10 rows
+    assert mc_inspection_pmf(TIED_CFG, TIED, 2, 1000, seed=1) == one_block
 
 
 @pytest.mark.parametrize("n,r", [(6, 4), (9, 9), (30, 12)])
@@ -382,7 +420,7 @@ def test_detection_step_equals_a_running_count(n, r):
     cfg, model, reps = SystemConfig(n, r), Empirical(range(8)), 5000
     for k in range(1, r):
         counts = np.zeros(n + 2, dtype=np.int64)
-        for samples, ordered in oracle._iter_batches(model, n, reps, seed=4):
+        for samples, ordered in oracle._iter_blocks(model, n, reps, seed=4):
             found = np.cumsum(samples < ordered[:, [r - 1]], axis=1)
             counts += np.bincount((found < k).sum(axis=1) + 1, minlength=n + 2)
         estimates = mc_inspection_pmf(cfg, model, k, reps, seed=4)
